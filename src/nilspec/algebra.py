@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import endomorphism_space
+from .quadrature import orthonormal_complete
 
 __all__ = [
     "GroupElement",
@@ -199,22 +200,9 @@ def complete_basis(B, orientation=+1, rng=None):
     `orientation`.
     """
     B = np.asarray(B, dtype=float)
-    m, k = B.shape
-    rows = [B[i] for i in range(m)]
-    if rng is not None:
-        candidates = rng.standard_normal((k, k))
-    else:
-        candidates = np.eye(k)
-    for cand in candidates:
-        v = cand.copy()
-        for w in rows:
-            v -= (v @ w) * w
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            rows.append(v / norm)
-        if len(rows) == k:
-            break
-    Q = np.vstack(rows)
+    k = B.shape[1]
+    candidates = np.eye(k) if rng is None else rng.standard_normal((k, k))
+    Q = np.vstack([B, orthonormal_complete(B, candidates)])
     if np.linalg.det(Q) * orientation < 0:
         Q[-1] = -Q[-1]
     return Q

@@ -5,6 +5,7 @@ anticommutation relations can be checked exactly.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,15 +41,19 @@ def irreducible_dimension(l):
     return 2 ** (4 * p + _RESIDUE_EXPONENT[r])
 
 
+@lru_cache(maxsize=None)
 def _cayley_dickson_table(dim):
     """Multiplication table of the Cayley-Dickson algebra of dimension dim.
 
     Returns T with T[i, j, :] = e_i * e_j in the basis e_0..e_{dim-1}
     (e_0 is the unit).  dim must be a power of two; dim = 2, 4, 8 give the
-    complex numbers, quaternions and octonions.
+    complex numbers, quaternions and octonions.  The table is cached and
+    read-only.
     """
     if dim == 1:
-        return np.ones((1, 1, 1), dtype=np.int64)
+        table = np.ones((1, 1, 1), dtype=np.int64)
+        table.flags.writeable = False
+        return table
     half = dim // 2
     sub = _cayley_dickson_table(half)
 
@@ -72,6 +77,7 @@ def _cayley_dickson_table(dim):
     for i in range(dim):
         for j in range(dim):
             table[i, j] = mul(eye[i], eye[j])
+    table.flags.writeable = False
     return table
 
 

@@ -1,5 +1,6 @@
-"""Solid harmonics: projections and graded decompositions of homogeneous
-polynomials, the Hankel transform, and the spherical mean value identity.
+"""Solid harmonics: the sparse polynomial engine (shared with `twisted`),
+projections and graded decompositions of homogeneous polynomials, the
+Hankel transform, and the spherical mean value identity.
 """
 
 from itertools import combinations_with_replacement
@@ -40,6 +41,100 @@ def _monomials(d, n):
     return out
 
 
+# -- sparse polynomial engine ------------------------------------------------
+#
+# A polynomial is a {exponent tuple: coeff} dict.  Derivatives, the
+# Laplacian, the |x|^2-multiply and the harmonic projection act on the first
+# `nvars` variables; further variables (the K-block of an XKPolynomial) ride
+# along as parameters.
+
+
+def poly_add(a, b):
+    out = dict(a)
+    for expo, c in b.items():
+        out[expo] = out.get(expo, 0.0) + c
+    return out
+
+
+def poly_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            expo = tuple(x + y for x, y in zip(e1, e2))
+            out[expo] = out.get(expo, 0.0) + c1 * c2
+    return out
+
+
+def poly_power(a, m, nvars):
+    out = {(0,) * nvars: 1.0}
+    for _ in range(m):
+        out = poly_mul(out, a)
+    return out
+
+
+def poly_diff(a, i):
+    """Derivative in variable i."""
+    out = {}
+    for expo, c in a.items():
+        if expo[i]:
+            key = expo[:i] + (expo[i] - 1,) + expo[i + 1 :]
+            out[key] = out.get(key, 0.0) + c * expo[i]
+    return out
+
+
+def poly_laplacian(a, nvars):
+    out = {}
+    for expo, c in a.items():
+        for i in range(nvars):
+            e = expo[i]
+            if e >= 2:
+                key = expo[:i] + (e - 2,) + expo[i + 1 :]
+                out[key] = out.get(key, 0.0) + c * e * (e - 1)
+    return out
+
+
+def poly_times_r2(a, nvars):
+    out = {}
+    for expo, c in a.items():
+        for i in range(nvars):
+            key = expo[:i] + (expo[i] + 2,) + expo[i + 1 :]
+            out[key] = out.get(key, 0.0) + c
+    return out
+
+
+def poly_eval(a, points):
+    """Values at the rows of `points` (one column per variable)."""
+    points = np.atleast_2d(points)
+    out = np.zeros(len(points), dtype=complex)
+    for expo, c in a.items():
+        term = np.ones(len(points), dtype=points.dtype)
+        for i, e in enumerate(expo):
+            if e:
+                term = term * points[:, i] ** e
+        out += c * term
+    return out
+
+
+def laplacian_ladder(a, nvars):
+    """[P, Delta P, Delta^2 P, ...] up to the last nonzero term."""
+    ladder = [a]
+    while True:
+        lap = poly_laplacian(ladder[-1], nvars)
+        if not any(lap.values()):
+            return ladder
+        ladder.append(lap)
+
+
+def project_ladder(ladder, nvars, degree):
+    """Harmonic projection sum_s c_s |x|^{2s} Delta^s P of a degree-`degree`
+    polynomial P, given its Laplacian ladder; |x|^2 is applied in Horner form."""
+    cs = projection_coefficients(nvars, degree)
+    out = {}
+    for s in reversed(range(len(ladder))):
+        out = poly_add({e: cs[s] * c for e, c in ladder[s].items()}, poly_times_r2(out, nvars))
+    return out
+
+
 class HomogeneousPolynomial:
     """Homogeneous polynomial over R^d as a sparse monomial -> coefficient map."""
 
@@ -68,12 +163,7 @@ class HomogeneousPolynomial:
 
     @classmethod
     def radius_squared(cls, d):
-        coeffs = {}
-        for i in range(d):
-            expo = [0] * d
-            expo[i] = 2
-            coeffs[tuple(expo)] = 1.0
-        return cls(d, 2, coeffs)
+        return cls(d, 2, poly_times_r2({(0,) * d: 1.0}, d))
 
     @classmethod
     def random(cls, d, n, rng, complex_coeffs=False):
@@ -88,9 +178,7 @@ class HomogeneousPolynomial:
     def __add__(self, other):
         if other.degree != self.degree or other.dimension != self.dimension:
             raise ValueError("degree/dimension mismatch")
-        coeffs = dict(self.coeffs)
-        for expo, c in other.coeffs.items():
-            coeffs[expo] = coeffs.get(expo, 0.0) + c
+        coeffs = poly_add(self.coeffs, other.coeffs)
         return HomogeneousPolynomial(self.dimension, self.degree, coeffs)
 
     def __sub__(self, other):
@@ -102,61 +190,20 @@ class HomogeneousPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, HomogeneousPolynomial):
-            coeffs = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    expo = tuple(a + b for a, b in zip(e1, e2))
-                    coeffs[expo] = coeffs.get(expo, 0.0) + c1 * c2
+            coeffs = poly_mul(self.coeffs, other.coeffs)
             return HomogeneousPolynomial(self.dimension, self.degree + other.degree, coeffs)
         return self.__rmul__(other)
 
     def power(self, m):
-        out = HomogeneousPolynomial(self.dimension, 0, {tuple([0] * self.dimension): 1.0})
-        for _ in range(m):
-            out = out * self
-        return out
+        coeffs = poly_power(self.coeffs, m, self.dimension)
+        return HomogeneousPolynomial(self.dimension, m * self.degree, coeffs)
 
     def laplacian(self):
-        coeffs = {}
-        for expo, c in self.coeffs.items():
-            for i, e in enumerate(expo):
-                if e >= 2:
-                    new = list(expo)
-                    new[i] -= 2
-                    key = tuple(new)
-                    coeffs[key] = coeffs.get(key, 0.0) + c * e * (e - 1)
+        coeffs = poly_laplacian(self.coeffs, self.dimension)
         return HomogeneousPolynomial(self.dimension, max(self.degree - 2, 0), coeffs)
 
-    def divide_radius_squared(self):
-        """Q with |x|^2 Q = self; least-squares on the monomial basis."""
-        if self.degree < 2:
-            raise ValueError("degree too small")
-        target = _monomials(self.dimension, self.degree)
-        source = _monomials(self.dimension, self.degree - 2)
-        index = {e: i for i, e in enumerate(target)}
-        M = np.zeros((len(target), len(source)))
-        for j, e in enumerate(source):
-            for i in range(self.dimension):
-                up = list(e)
-                up[i] += 2
-                M[index[tuple(up)], j] += 1.0
-        rhs = np.zeros(len(target), dtype=complex)
-        for e, c in self.coeffs.items():
-            rhs[index[e]] = c
-        sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        coeffs = {e: sol[j] for j, e in enumerate(source) if sol[j] != 0}
-        return HomogeneousPolynomial(self.dimension, self.degree - 2, coeffs)
-
     def __call__(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(len(points), dtype=complex)
-        for expo, c in self.coeffs.items():
-            term = np.ones(len(points))
-            for i, e in enumerate(expo):
-                if e:
-                    term = term * points[:, i] ** e
-            out += c * term
-        return out
+        return poly_eval(self.coeffs, np.asarray(points, dtype=float))
 
     def max_coeff(self):
         if not self.coeffs:
@@ -210,40 +257,29 @@ def harmonic_projection(P):
     a multiple of |x|^2; harmonic inputs are returned unchanged.
     """
     d, n = P.dimension, P.degree
-    cs = projection_coefficients(d, n)
-    r2 = HomogeneousPolynomial.radius_squared(d)
-    out = HomogeneousPolynomial(d, n, dict(P.coeffs))
-    term = P
-    r2s = None
-    for s in range(1, n // 2 + 1):
-        term = term.laplacian()
-        if term.is_zero():
-            break
-        r2s = r2 if r2s is None else r2s * r2
-        out = out + cs[s] * (r2s * term)
-    return out
+    return HomogeneousPolynomial(d, n, project_ladder(laplacian_ladder(P.coeffs, d), d, n))
 
 
 def harmonic_decomposition(P):
     """Graded decomposition P = sum_i |x|^{2i} H_{n-2i} with H harmonic.
 
-    Returns the list of (i, H_{n-2i}); reconstruction is exact up to
-    roundoff.
+    Read off the Laplacian ladder: Delta(|x|^{2t} H_m) =
+    2t(2m + 2t + d - 2) |x|^{2t-2} H_m, so the harmonic part of Delta^i P
+    is H_{n-2i} times prod_{t=1..i} 2t(2(n-2i) + 2t + d - 2).  Returns the
+    list of (i, H_{n-2i}) with nonzero parts.
     """
+    d, n = P.dimension, P.degree
+    ladder = laplacian_ladder(P.coeffs, d)
     out = []
-    rest = P
-    i = 0
-    while True:
-        H = harmonic_projection(rest)
-        if not H.is_zero(tol=0.0):
+    for i in range(len(ladder)):
+        m = n - 2 * i
+        norm = 1.0
+        for t in range(1, i + 1):
+            norm *= 2.0 * t * (2 * m + 2 * t + d - 2)
+        coeffs = project_ladder(ladder[i:], d, m)
+        H = HomogeneousPolynomial(d, m, {e: c / norm for e, c in coeffs.items()})
+        if not H.is_zero():
             out.append((i, H))
-        if rest.degree < 2:
-            break
-        residual = rest - H
-        if residual.max_coeff() < 1e-14 * max(1.0, P.max_coeff()):
-            break
-        rest = residual.divide_radius_squared()
-        i += 1
     return out
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .glz import RadialGLZOperator, compact_spectrum, zball_eigenvalues
+from .quadrature import orthonormal_complete
 from .twisted import SIGMA_DK, dk_eigencheck
 
 __all__ = [
@@ -73,47 +74,18 @@ def point_transformation(alg, Q, Q_tilde):
     norm = np.linalg.norm(Q)
     src = [Q_tilde / norm] + [alg.J_basis[a] @ Q_tilde / norm for a in range(alg.l)]
     dst = [Q / norm] + [alg.J_basis[a] @ Q / norm for a in range(alg.l)]
-    src = np.array(_orthonormalize(src))
-    dst = np.array(_orthonormalize(dst))
+    src = orthonormal_complete([], src)
+    dst = orthonormal_complete([], dst)
     if len(src) != len(dst):
         raise ValueError("degenerate pole spans")
-    comp_src = _complete(src, alg.k)
-    comp_dst = _complete(dst, alg.k)
+    comp_src = orthonormal_complete(src, np.eye(alg.k))
+    comp_dst = orthonormal_complete(dst, np.eye(alg.k))
     # O sends the source frame to the target frame
     frame_src = np.vstack([src, comp_src])
     frame_dst = np.vstack([dst, comp_dst])
     O = frame_dst.T @ frame_src
     resid = np.abs(O @ O.T - np.eye(alg.k)).max()
     return O, resid
-
-
-def _orthonormalize(rows, tol=1e-10):
-    out = []
-    for v in rows:
-        w = np.asarray(v, dtype=float).copy()
-        for u in out:
-            w -= (w @ u) * u
-        nn = np.linalg.norm(w)
-        if nn > tol:
-            out.append(w / nn)
-    return out
-
-
-def _complete(rows, k):
-    out = list(rows)
-    comp = []
-    for cand in np.eye(k):
-        w = cand.copy()
-        for u in out:
-            w -= (w @ u) * u
-        nn = np.linalg.norm(w)
-        if nn > 1e-10:
-            w /= nn
-            out.append(w)
-            comp.append(w)
-        if len(out) == k:
-            break
-    return np.array(comp) if comp else np.zeros((0, k))
 
 
 def spectra_compare(left, right, tol=1e-8):

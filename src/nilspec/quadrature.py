@@ -11,7 +11,9 @@ __all__ = [
     "sphere_rule",
     "zonal_eigenfunction",
     "harmonic_space_dimension",
+    "zonal_projector",
     "project_spherical",
+    "orthonormal_complete",
     "orthcomplement_basis",
     "gauss_legendre",
 ]
@@ -80,6 +82,20 @@ def harmonic_space_dimension(l, s):
     return comb(s + l - 1, l - 1) - comb(s + l - 3, l - 1)
 
 
+def zonal_projector(l, s, nodes, weights, points=None):
+    """Weighted zonal kernel of the degree-s projector on S^{l-1}.
+
+    Row i, column j: dim(l,s)/area * phi_s(<points_i, nodes_j>) * weights_j,
+    so the matrix maps values at the quadrature nodes to the degree-s
+    component at `points` (default: the nodes themselves).
+    """
+    points = nodes if points is None else points
+    cosang = np.clip(points @ nodes.T, -1.0, 1.0)
+    kern = zonal_eigenfunction(l, s, np.arccos(cosang))
+    scale = harmonic_space_dimension(l, s) / sphere_area(l)
+    return scale * kern * weights[None, :]
+
+
 def project_spherical(l, s, func, points, order=24):
     """Degree-s spherical-harmonic component of func, at the given points.
 
@@ -88,28 +104,39 @@ def project_spherical(l, s, func, points, order=24):
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     nodes, weights = sphere_rule(l, order)
-    vals = np.asarray(func(nodes))
-    cosang = np.clip(points @ nodes.T, -1.0, 1.0)
-    kern = zonal_eigenfunction(l, s, np.arccos(cosang))
-    scale = harmonic_space_dimension(l, s) / sphere_area(l)
-    return scale * kern @ (weights * vals)
+    return zonal_projector(l, s, nodes, weights, points) @ np.asarray(func(nodes))
+
+
+ORTHO_TOL = 1e-10  # candidates whose residual norm falls below this are dependent
+
+
+def orthonormal_complete(rows, candidates):
+    """Orthonormal vectors extending the orthonormal `rows`, by Gram-Schmidt
+    over `candidates` in order; stops once the rows span the space.
+
+    Returns only the new vectors, as an (m, dim) array.
+    """
+    dim = len(candidates[0])
+    basis = list(rows)
+    new = []
+    for cand in candidates:
+        if len(basis) == dim:
+            break
+        v = np.array(cand, dtype=float)
+        for w in basis:
+            v -= (v @ w) * w
+        norm = np.linalg.norm(v)
+        if norm > ORTHO_TOL:
+            v /= norm
+            basis.append(v)
+            new.append(v)
+    return np.array(new).reshape(len(new), dim)
 
 
 def orthcomplement_basis(theta):
     """Deterministic orthonormal basis of the hyperplane orthogonal to theta."""
     theta = np.asarray(theta, dtype=float)
-    l = theta.shape[0]
-    rows = [theta / np.linalg.norm(theta)]
-    for cand in np.eye(l):
-        v = cand.copy()
-        for w in rows:
-            v -= (v @ w) * w
-        norm = np.linalg.norm(v)
-        if norm > 1e-10:
-            rows.append(v / norm)
-        if len(rows) == l:
-            break
-    return np.vstack(rows[1:])
+    return orthonormal_complete([theta / np.linalg.norm(theta)], np.eye(theta.shape[0]))
 
 
 def gauss_legendre(n, a, b):

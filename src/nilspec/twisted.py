@@ -13,19 +13,23 @@ number of a (p, q) twist m = p - q; conjugating the kernel swaps the
 roles of p and q.
 """
 
-from itertools import combinations_with_replacement
-
 import numpy as np
 
 from .glz import zball_eigenvalues
-from .harmonics import projection_coefficients
-from .quadrature import (
-    gauss_legendre,
-    harmonic_space_dimension,
-    sphere_area,
-    sphere_rule,
-    zonal_eigenfunction,
+from .harmonics import (
+    HomogeneousPolynomial,
+    _monomials,
+    laplacian_ladder,
+    poly_add,
+    poly_diff,
+    poly_eval,
+    poly_laplacian,
+    poly_mul,
+    poly_power,
+    project_ladder,
+    projection_coefficients,
 )
+from .quadrature import gauss_legendre, sphere_rule, zonal_projector
 
 __all__ = [
     "SIGMA_DK",
@@ -240,7 +244,7 @@ class TwistedFunction:
         if kind == "sphere":
             R = self.mode[1]
             Rx = float(R(x)) if callable(R) else float(R)
-            vals = self._node_integrand(X, nodes, Rx)
+            vals = self._node_integrand(X, nodes, weights)
             phases = np.exp(1j * Rx * (nodes @ Z))
             return (weights @ (vals * phases)) / weights.sum() * self.radial(x, Rx)
 
@@ -248,23 +252,18 @@ class TwistedFunction:
         n_rad, k_max = self.radial_rule
         ks, wk = gauss_legendre(n_rad, 0.0, k_max)
         total = 0.0 + 0.0j
-        base = self._node_integrand(X, nodes, None)
+        base = self._node_integrand(X, nodes, weights)
         for kk, wkk in zip(ks, wk):
             phases = np.exp(1j * kk * (nodes @ Z))
             total += wkk * kk ** (alg.l - 1) * self.radial(x, kk) * (weights @ (base * phases))
         return total
 
-    def _node_integrand(self, X, nodes, Rx):
+    def _node_integrand(self, X, nodes, weights):
         """Twist x angular (x Pi_K projection) at the unit nodes."""
         tw = self._twist_values(X, nodes) * self._angular_values(nodes)
         if self.project_k is None:
             return tw
-        s = int(self.project_k)
-        cosang = np.clip(nodes @ nodes.T, -1.0, 1.0)
-        kern = zonal_eigenfunction(self.alg.l, s, np.arccos(cosang))
-        _, weights = sphere_rule(self.alg.l, self.sphere_order)
-        scale = harmonic_space_dimension(self.alg.l, s) / sphere_area(self.alg.l)
-        return scale * kern @ (weights * tw)
+        return zonal_projector(self.alg.l, int(self.project_k), nodes, weights) @ tw
 
     def to_json_dict(self):
         """Specification (mode, exponents, domain, projection flags); the
@@ -464,22 +463,6 @@ def adapted_complex_basis(alg, Z_u):
     return np.vstack(rows)
 
 
-def _pq_monomial_exponents(kappa, p, q):
-    ps = []
-    for combo in combinations_with_replacement(range(kappa), p):
-        e = [0] * kappa
-        for i in combo:
-            e[i] += 1
-        ps.append(tuple(e))
-    qs = []
-    for combo in combinations_with_replacement(range(kappa), q):
-        e = [0] * kappa
-        for i in combo:
-            e[i] += 1
-        qs.append(tuple(e))
-    return [(pe, qe) for pe in ps for qe in qs]
-
-
 def harmonic_nm_dimension(alg, n, m, Z_u=None, seed=0, tol=1e-8):
     """Brute-force rank of the space of projected twist polynomials H^(n,m).
 
@@ -493,89 +476,20 @@ def harmonic_nm_dimension(alg, n, m, Z_u=None, seed=0, tol=1e-8):
     p, q = (n + m) // 2, (n - m) // 2
     B = adapted_complex_basis(alg, Z_u)
     kappa = alg.k // 2
-    expos = _pq_monomial_exponents(kappa, p, q)
+    expos = [(pe, qe) for pe in _monomials(kappa, p) for qe in _monomials(kappa, q)]
     rng = np.random.default_rng(seed)
-    npts = 4 * len(expos) + 40
-    pts = rng.standard_normal((npts, alg.k))
-    node = (Z_u / np.linalg.norm(Z_u))[None, :]
-    vals = np.zeros((len(expos), npts), dtype=complex)
-    # z_j at the sample points
-    zvals = np.array([[ _theta_batch(alg, B[j], x, node)[0] for j in range(kappa)] for x in pts])
-    r2 = np.sum(pts**2, axis=1)
-    for row, (pe, qe) in enumerate(expos):
-        raw = np.ones(npts, dtype=complex)
-        for j in range(kappa):
-            raw *= zvals[:, j] ** pe[j] * np.conj(zvals[:, j]) ** qe[j]
-        vals[row] = _project_x_values(alg.k, n, raw, pts, r2, expos, zvals, pe, qe)
-    svals = np.linalg.svd(vals, compute_uv=False)
+    pts = rng.standard_normal((4 * len(expos) + 40, alg.k))
+    vals = []
+    for pe, qe in expos:
+        straight = twisted_to_straight(alg, B, [(j, pe[j], qe[j]) for j in range(kappa)], Z_u)
+        vals.append(poly_eval(project_ladder(laplacian_ladder(straight, alg.k), alg.k, n), pts))
+    svals = np.linalg.svd(np.array(vals), compute_uv=False)
     if svals.size == 0:
         return 0
     return int(np.sum(svals > tol * svals[0]))
 
 
-def _project_x_values(k, n, raw, pts, r2, expos, zvals, pe, qe):
-    """Pi_X of a z-monomial via the closed Laplacian ladder on z-coordinates.
-
-    For an adapted (orthonormal complex) basis the X-Laplacian acts on
-    z-monomials as 4 sum_j p_j q_j z^{p - e_j} conj(z)^{q - e_j}; iterating
-    gives the projection series with the same c_s coefficients.
-    """
-    cs = projection_coefficients(k, n)
-    out = raw.copy()
-    # iterate Delta^s via the ladder on exponent pairs
-    terms = {(tuple(pe), tuple(qe)): 1.0}
-    for s in range(1, n // 2 + 1):
-        new = {}
-        for (pcur, qcur), coeff in terms.items():
-            for j in range(len(pcur)):
-                if pcur[j] >= 1 and qcur[j] >= 1:
-                    pnew = list(pcur)
-                    qnew = list(qcur)
-                    pnew[j] -= 1
-                    qnew[j] -= 1
-                    key = (tuple(pnew), tuple(qnew))
-                    new[key] = new.get(key, 0.0) + coeff * 4.0 * pcur[j] * qcur[j]
-        terms = new
-        if not terms:
-            break
-        add = np.zeros_like(raw)
-        for (pcur, qcur), coeff in terms.items():
-            mono = np.ones_like(raw)
-            for j in range(len(pcur)):
-                mono *= zvals[:, j] ** pcur[j] * np.conj(zvals[:, j]) ** qcur[j]
-            add += coeff * mono
-        out = out + cs[s] * r2**s * add
-    return out
-
-
 # -- straight / twisted conversion --------------------------------------------
-
-
-def _x_poly_mul(p1, p2):
-    out = {}
-    for e1, c1 in p1.items():
-        for e2, c2 in p2.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = out.get(key, 0.0) + c1 * c2
-    return out
-
-
-def _linear_form_poly(vec):
-    k = len(vec)
-    out = {}
-    for i, v in enumerate(vec):
-        if v != 0:
-            e = [0] * k
-            e[i] = 1
-            out[tuple(e)] = complex(v)
-    return out
-
-
-def _poly_power(poly, m, k):
-    out = {tuple([0] * k): 1.0 + 0.0j}
-    for _ in range(m):
-        out = _x_poly_mul(out, poly)
-    return out
 
 
 def twisted_to_straight(alg, B, pq_list, K_u):
@@ -586,13 +500,13 @@ def twisted_to_straight(alg, B, pq_list, K_u):
     """
     K_u = np.asarray(K_u, dtype=float)
     J = alg.J(K_u / np.linalg.norm(K_u))
-    out = {tuple([0] * alg.k): 1.0 + 0.0j}
+    out = {(0,) * alg.k: 1.0 + 0.0j}
     for (j, p, q) in pq_list:
         a = np.asarray(B[j], dtype=float) + 1j * (J @ np.asarray(B[j], dtype=float))
-        zpol = _linear_form_poly(a)
-        zbar = _linear_form_poly(np.conj(a))
-        out = _x_poly_mul(out, _poly_power(zpol, p, alg.k))
-        out = _x_poly_mul(out, _poly_power(zbar, q, alg.k))
+        zpol = HomogeneousPolynomial.linear_form(a).coeffs
+        zbar = HomogeneousPolynomial.linear_form(np.conj(a)).coeffs
+        out = poly_mul(out, poly_power(zpol, p, alg.k))
+        out = poly_mul(out, poly_power(zbar, q, alg.k))
     return out
 
 
@@ -615,60 +529,26 @@ def straight_to_twisted(alg, B, straight, K_u):
         raise ValueError("K_u lies on the singularity set of B")
     Ainv = np.linalg.inv(A)
 
-    kappa = half
-    zero = (tuple([0] * kappa), tuple([0] * kappa))
-
-    def tw_mul(t1, t2):
-        out = {}
-        for (p1, q1), c1 in t1.items():
-            for (p2, q2), c2 in t2.items():
-                key = (
-                    tuple(a + b for a, b in zip(p1, p2)),
-                    tuple(a + b for a, b in zip(q1, q2)),
-                )
-                out[key] = out.get(key, 0.0) + c1 * c2
-        return out
-
-    # <Q_i, X> as a twisted polynomial: Q_i = sum_j Ainv[i, j] B_R[j]
-    coord_tw = []
-    for i in range(alg.k):
-        acc = {}
-        for j in range(half):
-            cz = 0.5 * Ainv[i, j] + Ainv[i, half + j] / 2j
-            czb = 0.5 * Ainv[i, j] - Ainv[i, half + j] / 2j
-            for key, coeff in ((_unit_pq(kappa, j, True), cz), (_unit_pq(kappa, j, False), czb)):
-                if coeff != 0:
-                    acc[key] = acc.get(key, 0.0) + coeff
-        coord_tw.append(acc)
+    # <Q_i, X> as a polynomial in (z, conj z), flat p || q exponent keys:
+    # Q_i = sum_j Ainv[i, j] B_R[j]
+    cz = 0.5 * Ainv[:, :half] + Ainv[:, half:] / 2j
+    czb = 0.5 * Ainv[:, :half] - Ainv[:, half:] / 2j
+    coord_tw = [
+        HomogeneousPolynomial.linear_form(np.concatenate([cz[i], czb[i]])).coeffs
+        for i in range(alg.k)
+    ]
 
     out = {}
     for expo, coeff in straight.items():
-        term = {zero: complex(coeff)}
+        term = {(0,) * alg.k: complex(coeff)}
         for i, e in enumerate(expo):
-            for _ in range(e):
-                term = tw_mul(term, coord_tw[i])
-        for key, c in term.items():
-            out[key] = out.get(key, 0.0) + c
-    return {key: c for key, c in out.items() if abs(c) > 1e-14}
-
-
-def _unit_pq(kappa, j, holo):
-    p = [0] * kappa
-    q = [0] * kappa
-    (p if holo else q)[j] = 1
-    return (tuple(p), tuple(q))
+            term = poly_mul(term, poly_power(coord_tw[i], e, alg.k))
+        out = poly_add(out, term)
+    return {(key[:half], key[half:]): c for key, c in out.items() if abs(c) > 1e-14}
 
 
 def evaluate_straight(straight, X):
-    X = np.asarray(X, dtype=float)
-    out = 0.0 + 0.0j
-    for expo, c in straight.items():
-        term = c
-        for i, e in enumerate(expo):
-            if e:
-                term = term * X[i] ** e
-        out += term
-    return out
+    return poly_eval(straight, np.asarray(X, dtype=float))[0]
 
 
 def evaluate_twisted(alg, B, twisted, X, K_u):
@@ -676,13 +556,8 @@ def evaluate_twisted(alg, B, twisted, X, K_u):
     J = alg.J(K_u / np.linalg.norm(K_u))
     B = np.asarray(B, dtype=float)
     z = np.array([(B[j] @ X) + 1j * ((J @ B[j]) @ X) for j in range(len(B))])
-    out = 0.0 + 0.0j
-    for (pe, qe), c in twisted.items():
-        term = c
-        for j in range(len(B)):
-            term = term * z[j] ** pe[j] * np.conj(z[j]) ** qe[j]
-        out += term
-    return out
+    flat = {pe + qe: c for (pe, qe), c in twisted.items()}
+    return poly_eval(flat, np.concatenate([z, np.conj(z)]))[0]
 
 
 def _smoothstep(u):
@@ -779,225 +654,107 @@ def roulette_one_turn(state, p, q, S, h=1e-5):
 
 
 class XKPolynomial:
-    """Polynomial in (X, K) jointly: {(x-expo, k-expo): coeff}."""
+    """Polynomial in (X, K) jointly, built from {(x-expo, k-expo): coeff}.
+
+    Stored as an engine polynomial on the k + l variables (X first, keys
+    x-expo + k-expo); the X-Laplacian and Pi_X act on the first k.
+    """
 
     def __init__(self, k, l, coeffs=None):
         self.k = int(k)
         self.l = int(l)
-        self.coeffs = dict(coeffs or {})
+        self.coeffs = {tuple(xe) + tuple(ke): c for (xe, ke), c in (coeffs or {}).items()}
+
+    @classmethod
+    def _flat(cls, k, l, coeffs):
+        out = cls(k, l)
+        out.coeffs = coeffs
+        return out
 
     def copy(self):
-        return XKPolynomial(self.k, self.l, dict(self.coeffs))
+        return XKPolynomial._flat(self.k, self.l, dict(self.coeffs))
 
     @classmethod
     def x_linear(cls, k, l, vec):
         """<vec, X> as a (X-degree 1, K-degree 0) polynomial."""
-        coeffs = {}
-        zero_k = tuple([0] * l)
-        for i, v in enumerate(np.asarray(vec)):
-            if v != 0:
-                xe = [0] * k
-                xe[i] = 1
-                coeffs[(tuple(xe), zero_k)] = complex(v)
-        return cls(k, l, coeffs)
+        form = HomogeneousPolynomial.linear_form(np.concatenate([np.asarray(vec), np.zeros(l)]))
+        return cls._flat(k, l, form.coeffs)
 
     @classmethod
     def jk_form(cls, alg, Q):
         """<J_K(Q), X>: bilinear in (X, K), K unnormalized."""
-        Q = np.asarray(Q, dtype=float)
-        coeffs = {}
-        JQ = np.einsum("aij,j->ai", alg.J_basis, Q)
-        for a in range(alg.l):
-            for i in range(alg.k):
-                v = JQ[a, i]
-                if v != 0:
-                    xe = [0] * alg.k
-                    xe[i] = 1
-                    ke = [0] * alg.l
-                    ke[a] = 1
-                    coeffs[(tuple(xe), tuple(ke))] = complex(v)
-        return cls(alg.k, alg.l, coeffs)
+        JQ = np.einsum("aij,j->ai", alg.J_basis, np.asarray(Q, dtype=float))  # row a: J_a Q
+        out = cls(alg.k, alg.l)
+        for a, K_a in enumerate(np.eye(alg.l)):
+            out = out + cls.k_linear(alg.k, alg.l, K_a) * cls.x_linear(alg.k, alg.l, JQ[a])
+        return out
 
     @classmethod
     def theta_factor(cls, alg, Q, conj=False):
         """<Q, X> + i <J_K Q, X> (K unnormalized; restrict to |K| = 1)."""
-        Q = np.asarray(Q, dtype=float)
-        coeffs = {}
-        zero_k = tuple([0] * alg.l)
-        for i, qv in enumerate(Q):
-            if qv != 0:
-                xe = [0] * alg.k
-                xe[i] = 1
-                coeffs[(tuple(xe), zero_k)] = complex(qv)
         sign = -1j if conj else 1j
-        JQ = np.einsum("aij,j->ai", alg.J_basis, Q)  # row a: J_a Q
-        for a in range(alg.l):
-            for i in range(alg.k):
-                v = JQ[a, i]
-                if v != 0:
-                    xe = [0] * alg.k
-                    xe[i] = 1
-                    ke = [0] * alg.l
-                    ke[a] = 1
-                    key = (tuple(xe), tuple(ke))
-                    coeffs[key] = coeffs.get(key, 0.0) + sign * v
-        return cls(alg.k, alg.l, coeffs)
+        return cls.x_linear(alg.k, alg.l, np.asarray(Q, dtype=float)) + sign * cls.jk_form(alg, Q)
 
     @classmethod
     def k_linear(cls, k, l, W):
-        coeffs = {}
-        for a, w in enumerate(np.asarray(W)):
-            if w != 0:
-                ke = [0] * l
-                ke[a] = 1
-                coeffs[(tuple([0] * k), tuple(ke))] = complex(w)
-        return cls(k, l, coeffs)
+        form = HomogeneousPolynomial.linear_form(np.concatenate([np.zeros(k), np.asarray(W)]))
+        return cls._flat(k, l, form.coeffs)
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0.0) + c
-        return XKPolynomial(self.k, self.l, out)
+        return XKPolynomial._flat(self.k, self.l, poly_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __rmul__(self, scalar):
-        return XKPolynomial(self.k, self.l, {key: scalar * c for key, c in self.coeffs.items()})
+        coeffs = {key: scalar * c for key, c in self.coeffs.items()}
+        return XKPolynomial._flat(self.k, self.l, coeffs)
 
     def __mul__(self, other):
         if not isinstance(other, XKPolynomial):
             return self.__rmul__(other)
-        out = {}
-        for (x1, k1), c1 in self.coeffs.items():
-            for (x2, k2), c2 in other.coeffs.items():
-                key = (
-                    tuple(a + b for a, b in zip(x1, x2)),
-                    tuple(a + b for a, b in zip(k1, k2)),
-                )
-                out[key] = out.get(key, 0.0) + c1 * c2
-        return XKPolynomial(self.k, self.l, out)
+        return XKPolynomial._flat(self.k, self.l, poly_mul(self.coeffs, other.coeffs))
 
     def power(self, m):
-        out = XKPolynomial(self.k, self.l, {(tuple([0] * self.k), tuple([0] * self.l)): 1.0})
-        for _ in range(m):
-            out = out * self
-        return out
+        return XKPolynomial._flat(self.k, self.l, poly_power(self.coeffs, m, self.k + self.l))
 
     def dx(self, i):
-        out = {}
-        for (xe, ke), c in self.coeffs.items():
-            if xe[i]:
-                new = list(xe)
-                new[i] -= 1
-                key = (tuple(new), ke)
-                out[key] = out.get(key, 0.0) + c * xe[i]
-        return XKPolynomial(self.k, self.l, out)
+        return XKPolynomial._flat(self.k, self.l, poly_diff(self.coeffs, i))
 
     def dk(self, a):
-        out = {}
-        for (xe, ke), c in self.coeffs.items():
-            if ke[a]:
-                new = list(ke)
-                new[a] -= 1
-                key = (xe, tuple(new))
-                out[key] = out.get(key, 0.0) + c * ke[a]
-        return XKPolynomial(self.k, self.l, out)
+        return XKPolynomial._flat(self.k, self.l, poly_diff(self.coeffs, self.k + a))
 
     def directional_x(self, alg, field_matrix):
         """sum_i (field_matrix X)_i d/dx_i as polynomial output."""
         out = XKPolynomial(self.k, self.l)
         for i in range(self.k):
-            row = field_matrix[i]
-            for j in range(self.k):
-                if row[j] != 0:
-                    xe = [0] * self.k
-                    xe[j] = 1
-                    mono = XKPolynomial(self.k, self.l, {(tuple(xe), tuple([0] * self.l)): row[j]})
-                    out = out + mono * self.dx(i)
+            out = out + XKPolynomial.x_linear(self.k, self.l, field_matrix[i]) * self.dx(i)
         return out
 
     def D_K(self, alg):
         """Directional X-derivative along J_K(X); raises K-degree by one."""
         out = XKPolynomial(self.k, self.l)
-        for a in range(self.l):
-            Ja = alg.J_basis[a]
-            # (J_K X)_i includes K_a (J_a X)_i
-            for i in range(self.k):
-                di = self.dx(i)
-                if not di.coeffs:
-                    continue
-                for j in range(self.k):
-                    v = Ja[i, j]
-                    if v == 0:
-                        continue
-                    xe = [0] * self.k
-                    xe[j] = 1
-                    ke = [0] * self.l
-                    ke[a] = 1
-                    mono = XKPolynomial(self.k, self.l, {(tuple(xe), tuple(ke)): v})
-                    out = out + mono * di
+        for a, K_a in enumerate(np.eye(self.l)):
+            K_factor = XKPolynomial.k_linear(self.k, self.l, K_a)
+            out = out + K_factor * self.directional_x(alg, alg.J_basis[a])
         return out
 
     def x_laplacian(self):
-        out = {}
-        for (xe, ke), c in self.coeffs.items():
-            for i, e in enumerate(xe):
-                if e >= 2:
-                    new = list(xe)
-                    new[i] -= 2
-                    key = (tuple(new), ke)
-                    out[key] = out.get(key, 0.0) + c * e * (e - 1)
-        return XKPolynomial(self.k, self.l, out)
+        return XKPolynomial._flat(self.k, self.l, poly_laplacian(self.coeffs, self.k))
 
     def x_degree(self):
-        return max((sum(xe) for (xe, _ke) in self.coeffs), default=0)
+        return max((sum(expo[: self.k]) for expo in self.coeffs), default=0)
 
     def project_x(self):
         """X-harmonic projection (input must be X-homogeneous)."""
-        n = self.x_degree()
-        if n == 0:
-            return self.copy()
-        cs = projection_coefficients(self.k, n)
-        r2 = XKPolynomial(self.k, self.l)
-        for i in range(self.k):
-            xe = [0] * self.k
-            xe[i] = 2
-            r2 = r2 + XKPolynomial(self.k, self.l, {(tuple(xe), tuple([0] * self.l)): 1.0})
-        out = self.copy()
-        term = self
-        r2s = None
-        for s in range(1, n // 2 + 1):
-            term = term.x_laplacian()
-            if not term.coeffs:
-                break
-            r2s = r2 if r2s is None else r2s * r2
-            out = out + cs[s] * (r2s * term)
-        return out
+        ladder = laplacian_ladder(self.coeffs, self.k)
+        return XKPolynomial._flat(self.k, self.l, project_ladder(ladder, self.k, self.x_degree()))
 
     def evaluate(self, X, Knodes):
         """Values at fixed X over an array of K nodes."""
-        X = np.asarray(X, dtype=float)
         Knodes = np.atleast_2d(np.asarray(Knodes, dtype=float))
-        out = np.zeros(len(Knodes), dtype=complex)
-        for (xe, ke), c in self.coeffs.items():
-            xv = 1.0
-            for i, e in enumerate(xe):
-                if e:
-                    xv *= X[i] ** e
-            kv = np.ones(len(Knodes))
-            for a, e in enumerate(ke):
-                if e:
-                    kv = kv * Knodes[:, a] ** e
-            out += c * xv * kv
-        return out
-
-
-def _sphere_projector(l, s, nodes, weights):
-    cosang = np.clip(nodes @ nodes.T, -1.0, 1.0)
-    kern = zonal_eigenfunction(l, s, np.arccos(cosang))
-    scale = harmonic_space_dimension(l, s) / sphere_area(l)
-    return scale * kern * weights[None, :]
+        X = np.broadcast_to(np.asarray(X, dtype=float), (len(Knodes), self.k))
+        return poly_eval(self.coeffs, np.hstack([X, Knodes]))
 
 
 def m_perp_values(alg, F, X, nodes):
@@ -1031,8 +788,8 @@ def spin_matrix(alg, test_functions, s_from, s_to_list, X_samples=None, sphere_o
     if X_samples is None:
         X_samples = rng.standard_normal((6, alg.k))
     nodes, weights = sphere_rule(alg.l, sphere_order)
-    proj_from = _sphere_projector(alg.l, s_from, nodes, weights)
-    projs_to = [_sphere_projector(alg.l, s, nodes, weights) for s in s_to_list]
+    proj_from = zonal_projector(alg.l, s_from, nodes, weights)
+    projs_to = [zonal_projector(alg.l, s, nodes, weights) for s in s_to_list]
 
     lhs_rows = []
     cand_rows = [[] for _ in s_to_list]

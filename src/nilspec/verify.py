@@ -117,17 +117,19 @@ def suite_harmonics(seed=0, perturb=False):
         for degree in (2, 4, 5):
             P = harmonics.HomogeneousPolynomial.random(d, degree, rng, complex_coeffs=True)
             H = harmonics.harmonic_projection(P)
+            parts = harmonics.harmonic_decomposition(P)
+            if perturb:  # corrupt the outputs, so both checks must catch it
+                H = H + 1e-6 * P
+                parts[0] = (parts[0][0], (1.0 + 1e-6) * parts[0][1])
             worst_h = max(worst_h, H.laplacian().max_coeff() / max(1.0, P.max_coeff()))
             r2 = harmonics.HomogeneousPolynomial.radius_squared(d)
             rec = None
-            for i, Hp in harmonics.harmonic_decomposition(P):
+            for i, Hp in parts:
                 term = Hp
                 for _ in range(i):
                     term = r2 * term
                 rec = term if rec is None else rec + term
             worst_r = max(worst_r, (rec - P).max_coeff() / max(1.0, P.max_coeff()))
-    if perturb:
-        worst_h += 1.0
     out.append(_check("projection harmonicity", worst_h, 1e-10))
     out.append(_check("decomposition round trip", worst_r, 1e-12))
     got = harmonics.spherical_mean(3, lambda pts: pts[:, 2], np.array([0.0, 0.0, 1.0]), 1.1)

@@ -128,6 +128,11 @@ def test_verify_perturbed_fails(tmp_path):
     cfg.write_text(json.dumps({"perturb": True}))
     code = run_cli(["verify", "--only", "curvature", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 1
+    out = tmp_path / "h"
+    assert run_cli(["verify", "--only", "harmonics", "--config", str(cfg), "--out", str(out)]) == 1
+    checks = {c["check"]: c["ok"] for c in json.loads((out / "verify.json").read_text())["results"]["harmonics"]}
+    assert not checks["projection harmonicity"]
+    assert not checks["decomposition round trip"]
 
 
 def test_waves_command(tmp_path):

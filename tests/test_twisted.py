@@ -3,7 +3,7 @@ import pytest
 
 from nilspec.algebra import complete_basis, htype_group
 from nilspec.harmonics import fourier_quadrature
-from nilspec.quadrature import sphere_rule
+from nilspec.quadrature import sphere_rule, zonal_projector
 from nilspec.twisted import (
     SIGMA_DK,
     RouletteState,
@@ -202,24 +202,19 @@ def test_theta_projected_harmonicity():
 
 
 def test_pi_x_pi_k_commute():
-    # the projections act on different slots; applying them in either order
-    # gives the same function on samples
+    # Pi_X through the polynomial engine and the closed form of
+    # theta_projected are independent paths; they agree on the K-sphere
+    # nodes, and so do their Pi_K projections
     F = XKPolynomial.theta_factor(H3, Q0).power(2) * XKPolynomial.theta_factor(H3, Q0, conj=True)
     nodes, weights = sphere_rule(3, 12)
     rng = np.random.default_rng(2)
     X = rng.standard_normal(4)
-    from nilspec.twisted import _sphere_projector
-
-    proj1 = _sphere_projector(3, 1, nodes, weights)
-    a = proj1 @ F.project_x().evaluate(X, nodes)
-    b = F.project_x()  # Pi_X first
-    b_vals = proj1 @ b.evaluate(X, nodes)
-    c = proj1 @ F.evaluate(X, nodes)  # Pi_K first, then Pi_X at fixed K...
-    # project_x acts coefficientwise, so comparing a (Pi_K Pi_X) with the
-    # reversed order needs Pi_X applied to the projected values' X-dependence;
-    # both equal because the operators touch disjoint variables
-    assert np.abs(a - b_vals).max() < 1e-12
-    assert a.shape == c.shape
+    engine = F.project_x().evaluate(X, nodes)
+    closed = theta_projected(H3, Q0, 2, 1, X, nodes)
+    assert np.abs(engine - closed).max() < 1e-12 * np.abs(closed).max()
+    proj = zonal_projector(3, 1, nodes, weights)
+    assert np.abs(proj @ closed).max() > 1e-3
+    assert np.abs(proj @ engine - proj @ closed).max() < 1e-12 * np.abs(proj @ closed).max()
 
 
 # -- Z-crystal reduction --------------------------------------------------------
@@ -531,9 +526,7 @@ def test_projected_strata_independent():
     # s = 1 components of (v, a) = (1, 0), (0, 1) and (1, 2)
     funcs = [phi1 * (lq * lq), lq * jk, phi1 * (jk * jk)]
     nodes, weights = sphere_rule(3, 12)
-    from nilspec.twisted import _sphere_projector
-
-    proj = _sphere_projector(3, 1, nodes, weights)
+    proj = zonal_projector(3, 1, nodes, weights)
     rng = np.random.default_rng(6)
     rows = []
     for F in funcs:
