@@ -8,10 +8,12 @@ verification failure, 2 config error, 3 numerical failure.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from .geometry import SolvableExtension, curvature_report
 from .glz import (
     RadialGLZOperator,
     compact_spectrum,
+    compact_upper_bound,
     explicit_eigenvalue,
     fullspace_spectrum,
 )
@@ -100,15 +103,24 @@ def parse_config(path):
     return config
 
 
+@functools.lru_cache(maxsize=None)
+def _code_digest():
+    """sha256 of the package sources, so code changes invalidate the cache."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
 class ResultCache:
-    """Content-addressed store keyed by the hash of (payload, version)."""
+    """Content-addressed store keyed by the hash of (payload, version, code)."""
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
     def key(self, payload):
-        text = canonical_json({"payload": payload, "version": __version__})
+        text = canonical_json({"payload": payload, "version": __version__, "code": _code_digest()})
         return hashlib.sha256(text.encode()).hexdigest()[:24]
 
     def get(self, payload):
@@ -119,7 +131,11 @@ class ResultCache:
 
     def put(self, payload, data):
         path = self.root / (self.key(payload) + ".json")
-        path.write_bytes(data)
+        # write-then-rename, so a reader never sees a partial entry
+        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
         return path
 
 
@@ -167,6 +183,17 @@ def _one_compact(args):
     k, n, m, mu, R, bc, count, N = args
     rec = compact_spectrum(RadialGLZOperator(k, n, m, mu), R, bc, count=count, N=N)
     return rec
+
+
+def _check_upper_bound(rec, op, bc):
+    """Numerical failure when a compact spectrum breaks its min-max bound."""
+    vals = rec.values()
+    bound = compact_upper_bound(op, bc)
+    if vals.max() > bound + 1e-8 * max(1.0, np.abs(vals).max()):
+        raise RuntimeError(
+            f"stratum (n={op.n}, m={op.m}, bc={rec.bc}): eigenvalue {vals.max():.6g} "
+            f"above the min-max bound {bound:.6g}; the grid does not resolve it"
+        )
 
 
 def cmd_spectrum(config, out_dir, seed, tol, jobs):
@@ -220,6 +247,8 @@ def cmd_spectrum(config, out_dir, seed, tol, jobs):
                 recs = list(pool.map(_one_compact, tasks))
         else:
             recs = [_one_compact(t) for t in tasks]
+        for (k, n, m, *_), rec in zip(tasks, recs):
+            _check_upper_bound(rec, RadialGLZOperator(k, n, m, mu), bc)
         result = {
             "kind": "spectrum",
             "mode": "compact",
@@ -305,8 +334,12 @@ def cmd_isospec(config, out_dir, seed, tol, jobs):
     for bc in ("dirichlet", "neumann"):
         for n in range(n_max + 1):
             for m in range(-n, n + 1, 2):
-                rl = compact_spectrum(RadialGLZOperator(left.k, n, m, mu), R, bc, count=count, N=N)
-                rr = compact_spectrum(RadialGLZOperator(right.k, n, m, mu), R, bc, count=count, N=N)
+                op_l = RadialGLZOperator(left.k, n, m, mu)
+                op_r = RadialGLZOperator(right.k, n, m, mu)
+                rl = compact_spectrum(op_l, R, bc, count=count, N=N)
+                rr = compact_spectrum(op_r, R, bc, count=count, N=N)
+                _check_upper_bound(rl, op_l, bc)
+                _check_upper_bound(rr, op_r, bc)
                 rep = spectra_compare(rl, rr, tol=tol or 1e-6)
                 ok = ok and rep["isospectral"]
                 reports.append({"bc": bc, "n": n, "m": m, "report": rep})

@@ -6,6 +6,7 @@ shooting cross-check), and Z-ball Bessel eigenvalues.
 """
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass, field
@@ -26,6 +27,7 @@ __all__ = [
     "laguerre_operator_apply",
     "scaled_eigenfunction",
     "compact_spectrum",
+    "compact_upper_bound",
     "fullspace_spectrum",
     "clenshaw_curtis_weights",
     "explicit_spectrum",
@@ -209,70 +211,98 @@ def clenshaw_curtis_weights(N):
     if N == 0:
         return np.array([2.0])
     theta = np.pi * np.arange(N + 1) / N
-    w = np.zeros(N + 1)
-    v = np.ones(N - 1)
-    for m in range(1, N // 2 + 1):
-        factor = 2.0 if 2 * m < N else 1.0
-        v -= factor * np.cos(2.0 * m * theta[1:-1]) / (4.0 * m**2 - 1.0)
-    w[1:-1] = 2.0 * v / N
+    m = np.arange(1, N // 2 + 1)
+    factor = np.where(2 * m < N, 2.0, 1.0) / (4.0 * m**2 - 1.0)
+    w = np.empty(N + 1)
+    w[1:-1] = 2.0 * (1.0 - np.cos(np.outer(theta[1:-1], 2.0 * m)) @ factor) / N
     w[0] = w[N] = 1.0 / (N**2 - 1.0 + (N % 2))
     return w
 
 
 def _barycentric_interp(x_from, x_to):
-    """Interpolation matrix from Chebyshev-Lobatto nodes to arbitrary points."""
+    """Interpolation matrix from Chebyshev-Lobatto nodes to arbitrary points.
+
+    A target within 1e-14 of a node gets the identity row of that node.
+    """
     n = len(x_from) - 1
-    wts = np.ones(n + 1) * (-1.0) ** np.arange(n + 1)
+    wts = (-1.0) ** np.arange(n + 1)
     wts[0] *= 0.5
     wts[-1] *= 0.5
-    M = np.zeros((len(x_to), n + 1))
-    for i, xt in enumerate(x_to):
-        diff = xt - x_from
-        hit = np.where(np.abs(diff) < 1e-14)[0]
-        if hit.size:
-            M[i, hit[0]] = 1.0
-            continue
-        terms = wts / diff
-        M[i] = terms / terms.sum()
+    diff = np.subtract.outer(np.asarray(x_to, dtype=float), x_from)
+    hit = np.abs(diff) < 1e-14
+    diff[hit] = 1.0
+    M = wts / diff
+    M /= M.sum(axis=1, keepdims=True)
+    exact = hit.any(axis=1)
+    M[exact] = 0.0
+    M[exact, hit[exact].argmax(axis=1)] = 1.0
     return M
 
 
-def _weighted_radial_eig(t, D1, P_fun, V_fun, w_fun, count, domain, boundary=None, keep=None, fine_factor=2):
+# bases kept at once; a radial sweep uses a handful of grid sizes
+_BASIS_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _galerkin_basis(N):
+    """Read-only arrays of the order-N Galerkin basis on [-1, 1].
+
+    Returns (x, xf, cwf, E, G0): the Lobatto nodes, the refined
+    Clenshaw-Curtis nodes and weights (2N + 8 intervals, exact for the
+    product of two degree-N node functions and a polynomial weight of
+    degree up to 8),
+    the interpolation matrix E from x to xf and G0 = E @ D.  Chebyshev
+    nodes map affinely, so one basis serves every domain.
+    """
+    x, D = chebyshev_diff(N)
+    xf = chebyshev_nodes(2 * N + 8)
+    cwf = clenshaw_curtis_weights(2 * N + 8)
+    # interpolate in ascending order, then store C-contiguous for the products
+    E = np.ascontiguousarray(_barycentric_interp(x[::-1], xf[::-1])[::-1, ::-1])
+    G0 = E @ D
+    for arr in (x, xf, cwf, E, G0):
+        arr.flags.writeable = False
+    return x, xf, cwf, E, G0
+
+
+def _weighted_radial_eig(N, P_fun, V_fun, w_fun, count, domain, boundary=None, first=0):
     """Eigenvalues of (1/w)(P f')' - V f by the symmetric Galerkin form.
 
-    The Lagrange node basis of the Chebyshev grid is integrated on a
-    refined Clenshaw-Curtis grid (interpolated barycentrically), so the
-    stiffness and mass integrals are quadrature-exact for the polynomial
-    weights: A = -G^T diag(cw P) G - E^T diag(cw w V) E (+ boundary term),
-    B = E^T diag(cw w) E.  `keep` masks out Dirichlet (or discarded) node
-    functions.  Returns `count` eigenvalues closest to zero, descending.
+    The Lagrange node basis of the order-N Chebyshev grid on `domain`
+    (descending nodes) is integrated on the refined Clenshaw-Curtis grid of
+    `_galerkin_basis`, so the stiffness and mass integrals are
+    quadrature-exact for the polynomial weights:
+    A = -G^T diag(cw P) G - E^T diag(cw w V) E (+ boundary term),
+    B = E^T diag(cw w) E, with G = E @ D mapped to the domain.  Node
+    functions before `first` are dropped (Dirichlet at the right end, or
+    discarded ones); `boundary` = (j, coeff) adds coeff to A[j, j] in the
+    kept numbering.  Returns `count` eigenvalues closest to zero, descending.
     """
     import scipy.linalg as sla
 
-    N = len(t) - 1
+    _, xf, cw, E, G0 = _galerkin_basis(N)
     a, b = domain
-    Mf = fine_factor * N + 8
-    xf = chebyshev_nodes(Mf)
-    tf = (xf + 1.0) * (b - a) / 2.0 + a
-    cwf = clenshaw_curtis_weights(Mf) * (b - a) / 2.0
-    E = _barycentric_interp(t[::-1], tf[::-1])[::-1, ::-1]
-    G = E @ D1
-    Pf = P_fun(tf)
-    wf = w_fun(tf)
+    half = (b - a) / 2.0
+    tf = (xf + 1.0) * half + a
+    cwf = cw * half
+    E = E[:, first:]
+    G0 = G0[:, first:]
+    wf = cwf * w_fun(tf)
+    # G = G0 / half: the chain-rule factor goes into the stiffness weights
+    A = (G0.T * (cwf * P_fun(tf) / -half**2)) @ G0
     Vf = V_fun(tf)
-    A = -(G.T * (cwf * Pf)) @ G - (E.T * (cwf * wf * Vf)) @ E
+    if np.any(Vf):
+        A -= (E.T * (wf * Vf)) @ E
     if boundary is not None:
         j, coeff = boundary
         A[j, j] += coeff
-    B = (E.T * (cwf * wf)) @ E
-    if keep is not None:
-        A = A[np.ix_(keep, keep)]
-        B = B[np.ix_(keep, keep)]
+    B = (E.T * wf) @ E
     # Jacobi scaling of the pencil: keeps the Cholesky of B robust when the
     # weight spans many orders of magnitude
     d = 1.0 / np.sqrt(np.diag(B))
-    A = A * d[:, None] * d[None, :]
-    B = B * d[:, None] * d[None, :]
+    for M in (A, B):
+        M *= d[:, None]
+        M *= d
     try:
         vals = sla.eigh(A, B, eigvals_only=True)
     except np.linalg.LinAlgError as exc:
@@ -299,9 +329,6 @@ def compact_spectrum(op, R, bc="dirichlet", count=8, N=400):
     if R <= 0 or count < 1:
         raise ValueError("need R > 0 and count >= 1")
     alpha = op.k // 2 + op.n - 1
-    x, D = chebyshev_diff(N)
-    t = (x + 1.0) * (R**2 / 2.0)  # descending: t[0] = R^2, t[-1] = 0
-    D1 = (2.0 / R**2) * D
 
     def P_fun(tt):
         return 4.0 * tt ** (alpha + 1)
@@ -309,11 +336,15 @@ def compact_spectrum(op, R, bc="dirichlet", count=8, N=400):
     def w_fun(tt):
         return tt**alpha
 
-    def V_fun(tt):
-        return np.array([-op.coeffs(ti)[2] for ti in np.atleast_1d(tt)])
+    if callable(op.mu):
+        def V_fun(tt):
+            return np.array([-op.coeffs(ti)[2] for ti in tt])
+    else:
+        def V_fun(tt):
+            return -op.coeffs(tt)[2]
 
     boundary = None
-    keep = None
+    first = 0
     if isinstance(bc, (tuple, list)):
         kind, a_c, b_c = bc[0].lower(), float(bc[1]), float(bc[2])
         if kind != "robin":
@@ -321,20 +352,21 @@ def compact_spectrum(op, R, bc="dirichlet", count=8, N=400):
         norm = np.hypot(a_c, b_c)
         a_c, b_c = a_c / norm, b_c / norm
         if abs(a_c) < 1e-13:
-            keep = np.arange(N + 1) != 0
+            first = 1
         else:
-            boundary = (0, -(b_c / a_c) * P_fun(t[0]))
+            boundary = (0, -(b_c / a_c) * P_fun(R**2))
         bc_name = f"robin({a_c:.6g},{b_c:.6g})"
     elif bc.lower() == "dirichlet":
-        keep = np.arange(N + 1) != 0
+        first = 1
         bc_name = "dirichlet"
     elif bc.lower() == "neumann":
         bc_name = "neumann"
     else:
         raise ValueError(f"unknown boundary condition {bc!r}")
 
+    # node 0 is t = R^2
     eigs = _weighted_radial_eig(
-        t, D1, P_fun, V_fun, w_fun, count, (0.0, R**2), boundary=boundary, keep=keep
+        N, P_fun, V_fun, w_fun, count, (0.0, R**2), boundary=boundary, first=first
     )
     mu = None if callable(op.mu) else float(op.mu)
     entries = [
@@ -348,6 +380,24 @@ def compact_spectrum(op, R, bc="dirichlet", count=8, N=400):
         operator={"k": op.k, "n": op.n, "m": op.m, "mu": mu},
         domain={"R": float(R), "N": int(N)},
     )
+
+
+def compact_upper_bound(op, bc="dirichlet"):
+    """Min-max upper bound -min V on every compact_spectrum eigenvalue.
+
+    The Rayleigh quotient of the compact problem is
+    (-int P f'^2 - int w V f^2 + boundary term) / int w f^2, and the
+    boundary term is <= 0 for Dirichlet, Neumann and Robin A f' + B f = 0
+    with A B >= 0, so every eigenvalue is <= -min V.  For constant mu,
+    V(t) = 2 m mu + 4 mu^2 (1 + t/4) is smallest at t = 0 on any ball.
+    Returns inf for Robin with A B < 0, where no such bound holds.
+    """
+    if callable(op.mu):
+        raise ValueError("the min-max bound needs a constant mu")
+    if isinstance(bc, (tuple, list)) and float(bc[1]) * float(bc[2]) < 0:
+        return np.inf
+    mu = float(op.mu)
+    return -(2.0 * op.m * mu + 4.0 * mu**2)
 
 
 def fullspace_spectrum(op, T=60.0, N=400, count=8):
@@ -366,9 +416,6 @@ def fullspace_spectrum(op, T=60.0, N=400, count=8):
         raise ValueError("full-space collocation needs a constant mu")
     mu = float(op.mu)
     alpha = op.k // 2 + op.n - 1
-    x, D = chebyshev_diff(N)
-    s = (x + 1.0) * (T / 2.0)
-    D1 = (2.0 / T) * D
     const = (4.0 * op.p + op.k) * mu + 4.0 * mu**2
 
     def P_fun(ss):
@@ -380,11 +427,12 @@ def fullspace_spectrum(op, T=60.0, N=400, count=8):
     def V_fun(ss):
         return np.zeros(np.shape(ss))
 
-    # drop node functions in the region where the weight has decayed away;
-    # keeps the mass matrix well conditioned, at an exponentially small cost
-    keep = s < 48.0
-    keep[-1] = True  # always keep s = 0
-    lam = _weighted_radial_eig(s, D1, P_fun, V_fun, w_fun, count + 4, (0.0, T), keep=keep)
+    # drop node functions in the region where the weight has decayed away
+    # (the nodes descend from s = T, so they are a leading block); keeps the
+    # mass matrix well conditioned, at an exponentially small cost
+    x = _galerkin_basis(N)[0]
+    first = int(np.argmax((x + 1.0) * (T / 2.0) < 48.0))
+    lam = _weighted_radial_eig(N, P_fun, V_fun, w_fun, count + 4, (0.0, T), first=first)
     # the scaled operator is negative semidefinite; spurious near-null-mass
     # modes of the truncated pencil land at positive values and are dropped
     lam = np.asarray(lam)

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from nilspec.cli import ConfigError, canonical_json, main, parse_config
+from nilspec import cli
+from nilspec.cli import ConfigError, ResultCache, canonical_json, main, parse_config
+from nilspec.glz import SpectrumRecord
 
 
 def run_cli(args):
@@ -99,6 +101,52 @@ def test_spectrum_compact_mode(tmp_path):
     vals = payload["strata"][0]["values"]
     assert abs(vals[0] + 6.0) < 1e-5
     assert (out / "spectrum.csv").exists()
+
+
+def test_cache_keyed_on_code_digest(tmp_path, monkeypatch):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(
+        "[group]\nl = 1\na = 1\nb = 0\n"
+        "[operator]\nmode = \"compact\"\nmu = 0.5\nstrata = [[0, 0]]\n"
+        "[domain]\nR2 = 9.0\nbc = \"neumann\"\ncount = 2\nN = 60\n"
+    )
+    out = tmp_path / "out"
+    calls = []
+    real = cli.compact_spectrum
+    monkeypatch.setattr(cli, "compact_spectrum", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    first = (out / "spectrum.json").read_bytes()
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    assert calls == [1] and (out / "spectrum.json").read_bytes() == first
+    assert not list((out / "cache").glob("*.tmp"))
+    # other code, other key: the entry written by this code is not served
+    cache = ResultCache(out / "cache")
+    payload = {"probe": 1}
+    cache.put(payload, b"old")
+    assert cache.get(payload) == b"old"
+    monkeypatch.setattr(cli, "_code_digest", lambda: "0" * 64)
+    assert cache.get(payload) is None
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    assert calls == [1, 1]
+
+
+def test_spectrum_above_minmax_bound_is_numerical_failure(tmp_path, monkeypatch):
+    def spurious(op, R, bc, count, N):
+        values = [1.0e4] + [-10.0 - i for i in range(count - 1)]
+        return SpectrumRecord([{"value": v} for v in values], bc=bc, provenance="discretized")
+
+    monkeypatch.setattr(cli, "compact_spectrum", spurious)
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({
+        "group": {"l": 1, "a": 1, "b": 0},
+        "operator": {"mode": "compact", "mu": 1.0, "strata": [[0, 0]]},
+        "domain": {"R2": 9.0, "bc": "dirichlet", "count": 3, "N": 60},
+    }))
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 3
+    assert not (tmp_path / "s" / "spectrum.json").exists()
+    cfg = tmp_path / "i.json"
+    cfg.write_text(json.dumps({"domain": {"R2": 9.0, "count": 3, "N": 60}, "operator": {"mu": 1.0, "n_max": 0}}))
+    assert run_cli(["isospec", "--config", str(cfg), "--out", str(tmp_path / "i")]) == 3
 
 
 def test_curvature_command(tmp_path):

@@ -1,12 +1,18 @@
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from nilspec.glz import (
     RadialGLZOperator,
     SpectrumRecord,
+    _barycentric_interp,
+    _galerkin_basis,
+    chebyshev_nodes,
+    clenshaw_curtis_weights,
     compact_spectrum,
+    compact_upper_bound,
     explicit_eigenvalue,
     explicit_spectrum,
     exterior_operator_eigenvalue,
@@ -223,3 +229,115 @@ def test_variable_mu_operator():
     a2, a1, a0 = op.coeffs(2.0)
     mu = 1.2
     assert a0 == pytest.approx(-(4.0 * mu**2 * 1.5))
+
+
+def _clenshaw_curtis_loop(N):
+    """Reference: the weights summed one frequency at a time."""
+    theta = np.pi * np.arange(N + 1) / N
+    w = np.zeros(N + 1)
+    v = np.ones(N - 1)
+    for m in range(1, N // 2 + 1):
+        factor = 2.0 if 2 * m < N else 1.0
+        v -= factor * np.cos(2.0 * m * theta[1:-1]) / (4.0 * m**2 - 1.0)
+    w[1:-1] = 2.0 * v / N
+    w[0] = w[N] = 1.0 / (N**2 - 1.0 + (N % 2))
+    return w
+
+
+def _barycentric_loop(x_from, x_to):
+    """Reference: the interpolation matrix built one target point at a time."""
+    n = len(x_from) - 1
+    wts = (-1.0) ** np.arange(n + 1)
+    wts[0] *= 0.5
+    wts[-1] *= 0.5
+    M = np.zeros((len(x_to), n + 1))
+    for i, xt in enumerate(x_to):
+        diff = xt - x_from
+        hit = np.where(np.abs(diff) < 1e-14)[0]
+        if hit.size:
+            M[i, hit[0]] = 1.0
+            continue
+        terms = wts / diff
+        M[i] = terms / terms.sum()
+    return M
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 8, 9, 208, 808, 1608])
+def test_clenshaw_curtis_exact_for_degree_m(M):
+    x = chebyshev_nodes(M)
+    w = clenshaw_curtis_weights(M)
+    for j in range(M + 1):
+        exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+        assert abs(w @ x**j - exact) < 1e-14, j
+    # same weights as the loop form, up to the summation order
+    assert np.abs(w - _clenshaw_curtis_loop(M)).max() <= 4 * np.finfo(float).eps
+
+
+def test_barycentric_interp_reproduces_polynomials():
+    N = 12
+    nodes = chebyshev_nodes(N)
+    coef = np.random.default_rng(3).standard_normal(N + 1)
+    targets = np.linspace(-1.0, 1.0, 37) * 0.999
+    M = _barycentric_interp(nodes, targets)
+    for deg in range(N + 1):
+        p = np.polynomial.chebyshev.Chebyshev(coef[: deg + 1])
+        assert np.abs(M @ p(nodes) - p(targets)).max() < 1e-13, deg
+    # a target on a node gets that node's identity row
+    M = _barycentric_interp(nodes, np.array([nodes[0], 0.3, nodes[5], nodes[N]]))
+    assert np.array_equal(M[[0, 2, 3]], np.eye(N + 1)[[0, 5, N]])
+    assert np.isfinite(M).all() and abs(M[1].sum() - 1.0) < 1e-14
+    # the same arithmetic as the per-point loop, so the same bits
+    targets = np.concatenate([chebyshev_nodes(2 * N + 8), targets])
+    assert np.array_equal(_barycentric_interp(nodes, targets), _barycentric_loop(nodes, targets))
+
+
+def test_galerkin_basis_cached_read_only():
+    first = _galerkin_basis(40)
+    again = _galerkin_basis(40)
+    assert all(a is b for a, b in zip(first, again))
+    x, xf, cwf, E, G0 = first
+    for arr in first:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert E.flags.c_contiguous and E.shape == (len(xf), len(x))
+    assert abs(cwf.sum() - 2.0) < 1e-14
+
+
+def test_compact_spectrum_callable_mu_matches_constant():
+    for bc in ("dirichlet", "neumann"):
+        ref = compact_spectrum(RadialGLZOperator(4, 1, 1, 0.7), 2.0, bc, count=4, N=120).values()
+        got = compact_spectrum(RadialGLZOperator(4, 1, 1, lambda t: 0.7), 2.0, bc, count=4, N=120).values()
+        assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_compact_spectrum_variable_mu_shooting_crosscheck(bc):
+    op = RadialGLZOperator(2, 0, 0, lambda t: 1.0 + 0.1 * t)
+    rec = compact_spectrum(op, 2.0, bc, count=1, N=150)
+    val = shooting_eigenvalue(op, 2.0, bc, near=rec.values()[0], span=2.0)
+    assert abs(val - rec.values()[0]) < 1e-8
+
+
+def test_compact_upper_bound():
+    for bc in ("dirichlet", "neumann", ("robin", 1.0, 0.5)):
+        for k, n, m, mu in [(2, 0, 0, 1.0), (4, 1, -1, 0.7), (6, 2, 2, 1.3)]:
+            op = RadialGLZOperator(k, n, m, mu)
+            bound = compact_upper_bound(op, bc)
+            assert bound == -(2.0 * m * mu + 4.0 * mu**2)
+            assert compact_spectrum(op, 2.0, bc, count=3, N=100).values().max() <= bound
+    # a Robin term of the wrong sign admits no bound: the spectrum goes above -min V
+    op = RadialGLZOperator(2, 0, 0, 0.0)
+    assert compact_upper_bound(op, ("robin", 1.0, -2.0)) == np.inf
+    assert compact_spectrum(op, 1.0, ("robin", 1.0, -2.0), count=1, N=60).values()[0] > 0.0
+    with pytest.raises(ValueError):
+        compact_upper_bound(RadialGLZOperator(2, 0, 0, lambda t: 1.0))
+
+
+@pytest.mark.parametrize("l,s", [(2, 0), (3, 1), (4, 2), (5, 3)])
+def test_zball_dirichlet_mpmath_oracle(l, s):
+    R = 1.7
+    lam = zball_eigenvalues(l, s, R, "dirichlet", count=4)
+    for i, v in enumerate(lam, start=1):
+        ref = float((mpmath.besseljzero(mpmath.mpf(s) + mpmath.mpf(l) / 2 - 1, i) / R) ** 2)
+        assert abs(v - ref) < 1e-12
