@@ -46,7 +46,11 @@ class ConfigError(ValueError):
 
 
 def canonical_json(obj, indent=0):
-    """Deterministic JSON text: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON text: sorted keys, floats at 17 significant digits.
+
+    JSON has no NaN or infinity, so a non-finite float raises
+    FloatingPointError (a numerical failure) instead of writing invalid text.
+    """
     pad = " " * indent
     if isinstance(obj, dict):
         items = [
@@ -64,6 +68,8 @@ def canonical_json(obj, indent=0):
     if isinstance(obj, (int, np.integer)):
         return pad + str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not np.isfinite(obj):
+            raise FloatingPointError(f"cannot write the non-finite value {float(obj)} as JSON")
         return pad + format(float(obj), ".17g")
     if isinstance(obj, str):
         return pad + json.dumps(obj)
@@ -155,6 +161,23 @@ def _load_group(config):
     return htype_group(l, a, b)
 
 
+_BOUNDARY_CONDITIONS = ("dirichlet", "neumann")
+
+
+def _boundary_condition(bc):
+    """A domain.bc entry: "dirichlet", "neumann" or ["robin", A, B]."""
+    if isinstance(bc, str) and bc.lower() in _BOUNDARY_CONDITIONS:
+        return bc
+    if (
+        isinstance(bc, list)
+        and len(bc) == 3
+        and str(bc[0]).lower() == "robin"
+        and all(isinstance(c, (int, float)) for c in bc[1:])
+    ):
+        return bc
+    raise ConfigError(f'domain.bc must be "dirichlet", "neumann" or ["robin", A, B], got {bc!r}')
+
+
 def _write(out_dir, name, text):
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
@@ -237,7 +260,7 @@ def cmd_spectrum(config, out_dir, seed, tol, jobs):
         )
     elif mode == "compact":
         R = float(np.sqrt(dom.get("R2", 40.0)))
-        bc = dom.get("bc", "dirichlet")
+        bc = _boundary_condition(dom.get("bc", "dirichlet"))
         count = int(dom.get("count", 5))
         N = int(dom.get("N", 300))
         strata = op_cfg.get("strata", [[0, 0]])
@@ -254,7 +277,7 @@ def cmd_spectrum(config, out_dir, seed, tol, jobs):
             "mode": "compact",
             "mu": mu,
             "k": alg.k,
-            "bc": bc if isinstance(bc, str) else list(bc),
+            "bc": bc,
             "R2": R**2,
             "strata": [
                 {"n": t[1], "m": t[2], "values": [float(v) for v in rec.values()]}
@@ -324,6 +347,10 @@ def cmd_isospec(config, out_dir, seed, tol, jobs):
     if left.k != right.k:
         raise ConfigError("isospectral comparison needs matching X-dimensions")
     dom = config.get("domain", {})
+    if "bc" in dom:
+        # isospec compares both conditions, but a domain section shared
+        # with spectrum (as report configs do) must still be valid
+        _boundary_condition(dom["bc"])
     R = float(np.sqrt(dom.get("R2", 16.0)))
     count = int(dom.get("count", 5))
     N = int(dom.get("N", 220))
@@ -331,7 +358,7 @@ def cmd_isospec(config, out_dir, seed, tol, jobs):
     n_max = int(config.get("operator", {}).get("n_max", 2))
     reports = []
     ok = True
-    for bc in ("dirichlet", "neumann"):
+    for bc in _BOUNDARY_CONDITIONS:
         for n in range(n_max + 1):
             for m in range(-n, n + 1, 2):
                 op_l = RadialGLZOperator(left.k, n, m, mu)
@@ -454,7 +481,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

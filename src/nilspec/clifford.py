@@ -111,14 +111,20 @@ def build_generators(l, size_cap=DEFAULT_SIZE_CAP):
     multiplication with imaginary units (so l = 3 is the quaternion
     representation on the basis (1, i, j, k)); l = 4..7 use octonion left
     multiplications; l = 8 doubles the octonion set; l > 8 follows the
-    period-8 tensor recursion.  Deterministic, integer entries.
+    period-8 tensor recursion.  Deterministic, integer entries.  The
+    module is built and checked once per l and shared: repeated calls
+    return the same object, whose generators are read-only.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
     n = irreducible_dimension(l)
     if n > size_cap:
         raise SizeCapExceeded(f"n_{l} = {n} exceeds size cap {size_cap}")
+    return _irreducible_module(l)
 
+
+@lru_cache(maxsize=None)
+def _irreducible_module(l):
     if l == 1:
         gens = _left_multiplications(2, 1)
     elif l <= 3:
@@ -128,8 +134,8 @@ def build_generators(l, size_cap=DEFAULT_SIZE_CAP):
     elif l == 8:
         gens = _double(_left_multiplications(8, 7), 8)
     else:
-        base = build_generators(l - 8, size_cap=size_cap).generators
-        eight = build_generators(8, size_cap=size_cap).generators
+        base = _irreducible_module(l - 8).generators
+        eight = _irreducible_module(8).generators
         # volume element of the l=8 block: symmetric involution that
         # anticommutes with every generator of that block
         w = eight[0]
@@ -140,18 +146,26 @@ def build_generators(l, size_cap=DEFAULT_SIZE_CAP):
         eye = np.eye(m, dtype=np.int64)
         gens += [np.kron(eye, b) for b in eight]
 
-    return CliffordModule(l=l, n=n, generators=gens)
+    return CliffordModule(l=l, n=irreducible_dimension(l), generators=gens)
 
 
 @dataclass(frozen=True)
 class CliffordModule:
-    """Irreducible Clifford module: l generators acting on R^n."""
+    """Irreducible Clifford module: l generators acting on R^n.
+
+    The generators are stored as a tuple of read-only copies, so the
+    relations checked on construction hold for the module's lifetime.
+    """
 
     l: int
     n: int
-    generators: list = field(repr=False)
+    generators: tuple = field(repr=False)
 
     def __post_init__(self):
+        gens = tuple(np.array(g) for g in self.generators)
+        for g in gens:
+            g.flags.writeable = False
+        object.__setattr__(self, "generators", gens)
         if len(self.generators) != self.l:
             raise ValueError("generator count does not match l")
         for g in self.generators:

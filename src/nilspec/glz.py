@@ -23,7 +23,6 @@ __all__ = [
     "radial_apply",
     "explicit_eigenvalue",
     "laguerre_eigenfunction",
-    "alternative_coefficient_recursion",
     "laguerre_operator_apply",
     "scaled_eigenfunction",
     "compact_spectrum",
@@ -114,19 +113,6 @@ def laguerre_eigenfunction(r, n, k):
     for i in range(r - 1, -1, -1):
         coeff[i] = -coeff[i + 1] * (i + 1) * (alpha + i + 1) / (r - i)
     return coeff
-
-
-def alternative_coefficient_recursion(r, n, k):
-    """The recursion a_i = -a_{i-1}(r-i)(r+n+k/2+1-i)/r, for diagnostics.
-
-    Indexing is by descending powers (a_0 = 1 leading).  For r = 1 it
-    yields a_1 = 0, which contradicts the monic Laguerre form forced by
-    the operator identity; the triangular solve above is authoritative.
-    """
-    a = [Fraction(1)]
-    for i in range(1, r + 1):
-        a.append(-a[-1] * (r - i) * (Fraction(r + n) + Fraction(k, 2) + 1 - i) / r)
-    return a
 
 
 def laguerre_operator_apply(coeff, alpha, as_fraction=True):

@@ -4,7 +4,7 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
-from scipy.special import eval_gegenbauer, gamma, roots_jacobi
+from scipy.special import eval_chebyt, eval_gegenbauer, gamma, roots_jacobi
 
 __all__ = [
     "sphere_area",
@@ -12,6 +12,7 @@ __all__ = [
     "zonal_eigenfunction",
     "harmonic_space_dimension",
     "zonal_projector",
+    "zonal_projector_factor",
     "project_spherical",
     "orthonormal_complete",
     "orthcomplement_basis",
@@ -69,8 +70,17 @@ def zonal_eigenfunction(l, nu, rho):
         raise ValueError("need l >= 2")
     if l == 2:
         return np.cos(nu * rho)
+    return _zonal_kernel(l, nu, np.cos(rho))
+
+
+def _zonal_kernel(l, s, cosang):
+    """phi_s at polar distance arccos(cosang), evaluated from the cosine:
+    Chebyshev T_s on the circle, the normalized Gegenbauer C_s^{(l-2)/2}
+    for l >= 3."""
+    if l == 2:
+        return eval_chebyt(s, cosang)
     alpha = (l - 2) / 2.0
-    return eval_gegenbauer(nu, alpha, np.cos(rho)) / eval_gegenbauer(nu, alpha, 1.0)
+    return eval_gegenbauer(s, alpha, cosang) / eval_gegenbauer(s, alpha, 1.0)
 
 
 def harmonic_space_dimension(l, s):
@@ -89,11 +99,55 @@ def zonal_projector(l, s, nodes, weights, points=None):
     so the matrix maps values at the quadrature nodes to the degree-s
     component at `points` (default: the nodes themselves).
     """
+    if l < 2:
+        raise ValueError("need l >= 2")
     points = nodes if points is None else points
-    cosang = np.clip(points @ nodes.T, -1.0, 1.0)
-    kern = zonal_eigenfunction(l, s, np.arccos(cosang))
+    kern = _zonal_kernel(l, s, np.clip(points @ nodes.T, -1.0, 1.0))
     scale = harmonic_space_dimension(l, s) / sphere_area(l)
     return scale * kern * weights[None, :]
+
+
+PROJECTOR_EIG_TOL = 1e-8  # eigenvalues of an exact node-to-node projector lie this close to 0 or 1
+
+
+def zonal_projector_factor(l, s, order):
+    """Low-rank factor (A, Bt) of the degree-s node-to-node projector on
+    sphere_rule(l, order): zonal_projector(l, s, *sphere_rule(l, order))
+    equals A @ Bt, so it applies to nodal values f as A @ (Bt @ f).
+
+    Built once per (l, s, order) and shared; both arrays are read-only,
+    A is (nodes, dim) and Bt is (dim, nodes) with dim the dimension of the
+    degree-s harmonics.  Raises RuntimeError unless the rule is exact
+    enough for the kernel to be a projector of rank dim.
+    """
+    # a plain function in front of the cache keeps each call visible to
+    # per-layer tracing, which wraps only functions
+    return _zonal_projector_factor(l, s, order)
+
+
+@lru_cache(maxsize=32)
+def _zonal_projector_factor(l, s, order):
+    nodes, weights = _sphere_rule_cached(l, order)
+    # an exact rule makes K = kernel * W idempotent, and W^1/2 K W^-1/2 is
+    # then a symmetric projector: its unit eigenvectors U give K = A Bt with
+    # A = W^-1/2 U and Bt = U^T W^1/2
+    root = np.sqrt(weights)
+    sym = root[:, None] * zonal_projector(l, s, nodes, weights) / root[None, :]
+    vals, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
+    unit = np.abs(vals - 1.0) <= PROJECTOR_EIG_TOL
+    dim = harmonic_space_dimension(l, s)
+    if not np.all(unit | (np.abs(vals) <= PROJECTOR_EIG_TOL)) or unit.sum() != dim:
+        off = np.minimum(np.abs(vals), np.abs(vals - 1.0)).max()
+        raise RuntimeError(
+            f"degree-{s} zonal kernel on the order-{order} rule of S^{l - 1} is not a rank-{dim} "
+            f"projector (rank {int(unit.sum())}, eigenvalue {off:.1e} off 0 and 1): raise the order"
+        )
+    U = vecs[:, unit]
+    A = U / root[:, None]
+    Bt = np.ascontiguousarray((U * root[:, None]).T)
+    A.flags.writeable = False
+    Bt.flags.writeable = False
+    return A, Bt
 
 
 def project_spherical(l, s, func, points, order=24):

@@ -29,7 +29,7 @@ from .harmonics import (
     project_ladder,
     projection_coefficients,
 )
-from .quadrature import gauss_legendre, sphere_rule, zonal_projector
+from .quadrature import gauss_legendre, sphere_rule, zonal_projector_factor
 
 __all__ = [
     "SIGMA_DK",
@@ -244,7 +244,7 @@ class TwistedFunction:
         if kind == "sphere":
             R = self.mode[1]
             Rx = float(R(x)) if callable(R) else float(R)
-            vals = self._node_integrand(X, nodes, weights)
+            vals = self._node_integrand(X, nodes)
             phases = np.exp(1j * Rx * (nodes @ Z))
             return (weights @ (vals * phases)) / weights.sum() * self.radial(x, Rx)
 
@@ -252,18 +252,19 @@ class TwistedFunction:
         n_rad, k_max = self.radial_rule
         ks, wk = gauss_legendre(n_rad, 0.0, k_max)
         total = 0.0 + 0.0j
-        base = self._node_integrand(X, nodes, weights)
+        base = self._node_integrand(X, nodes)
         for kk, wkk in zip(ks, wk):
             phases = np.exp(1j * kk * (nodes @ Z))
             total += wkk * kk ** (alg.l - 1) * self.radial(x, kk) * (weights @ (base * phases))
         return total
 
-    def _node_integrand(self, X, nodes, weights):
-        """Twist x angular (x Pi_K projection) at the unit nodes."""
+    def _node_integrand(self, X, nodes):
+        """Twist x angular (x Pi_K projection) at the sphere-rule nodes."""
         tw = self._twist_values(X, nodes) * self._angular_values(nodes)
         if self.project_k is None:
             return tw
-        return zonal_projector(self.alg.l, int(self.project_k), nodes, weights) @ tw
+        A, Bt = zonal_projector_factor(self.alg.l, int(self.project_k), self.sphere_order)
+        return A @ (Bt @ tw)
 
     def to_json_dict(self):
         """Specification (mode, exponents, domain, projection flags); the
@@ -787,9 +788,9 @@ def spin_matrix(alg, test_functions, s_from, s_to_list, X_samples=None, sphere_o
     rng = rng or np.random.default_rng(5)
     if X_samples is None:
         X_samples = rng.standard_normal((6, alg.k))
-    nodes, weights = sphere_rule(alg.l, sphere_order)
-    proj_from = zonal_projector(alg.l, s_from, nodes, weights)
-    projs_to = [zonal_projector(alg.l, s, nodes, weights) for s in s_to_list]
+    nodes, _ = sphere_rule(alg.l, sphere_order)
+    A_from, Bt_from = zonal_projector_factor(alg.l, s_from, sphere_order)
+    projs_to = [zonal_projector_factor(alg.l, s, sphere_order) for s in s_to_list]
 
     lhs_rows = []
     cand_rows = [[] for _ in s_to_list]
@@ -802,13 +803,14 @@ def spin_matrix(alg, test_functions, s_from, s_to_list, X_samples=None, sphere_o
             gmat = np.array([F.dx(i).evaluate(X, nodes) for i in range(alg.k)])  # (k, n)
             JX = np.einsum("aij,j->ai", alg.J_basis, X)  # (l, k): rows J_a X
             field = nodes @ JX  # (n, k): row j holds J_{theta_j} X
-            dir_inner = field @ gmat  # [j, m] = grad F(X, v_m) . J_{theta_j} X
-            term1 = np.einsum("jm,jm->j", proj_from, dir_inner)
-            term2 = proj_from @ DF.evaluate(X, nodes)
+            # term1[j] = sum_m Pi[j, m] grad F(X, v_m) . J_{theta_j} X with
+            # Pi = A_from Bt_from, contracting the inner nodes m first
+            term1 = np.einsum("jr,jr->j", A_from, field @ (gmat @ Bt_from.T))
+            term2 = A_from @ (Bt_from @ DF.evaluate(X, nodes))
             lhs_rows.append(term1 - term2)
             mp = m_perp_values(alg, F, X, nodes)
-            for idx, P in enumerate(projs_to):
-                cand_rows[idx].append(P @ mp)
+            for idx, (A_to, Bt_to) in enumerate(projs_to):
+                cand_rows[idx].append(A_to @ (Bt_to @ mp))
 
     b = np.concatenate(lhs_rows)
     A = np.column_stack([np.concatenate(rows) for rows in cand_rows])

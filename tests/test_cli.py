@@ -18,6 +18,47 @@ def test_canonical_json_deterministic_floats():
     assert canonical_json({"a": 1.0 / 3.0, "b": [1, 2.5]}) == text
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
+def test_canonical_json_rejects_non_finite(bad):
+    with pytest.raises(FloatingPointError):
+        canonical_json({"a": bad})
+    with pytest.raises(FloatingPointError):
+        canonical_json({"a": [1.0, {"b": bad}]})
+
+
+def test_canonical_json_finite_bytes_unchanged():
+    text = canonical_json({"b": [1, -2.5e-300, np.float64(0.1)], "a": 1e300, "c": None})
+    assert text == (
+        '{\n  "a": 1.0000000000000001e+300,\n  "b": [\n    1,\n    -2.5e-300,\n'
+        '    0.10000000000000001\n  ],\n  "c": null\n}'
+    )
+
+
+def test_non_finite_result_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "explicit_eigenvalue", lambda mu, r, p, k: float("nan"))
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({"group": {"l": 1}, "operator": {"mode": "explicit", "r_max": 0, "p_max": 0}}))
+    out = tmp_path / "out"
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert not (out / "spectrum.json").exists()
+    assert not list((out / "cache").iterdir())
+
+
+@pytest.mark.parametrize("command, config", [
+    ("spectrum", {"group": {"l": 1}, "operator": {"mode": "compact"}, "domain": {"bc": "wrong", "N": 40}}),
+    ("spectrum", {"group": {"l": 1}, "operator": {"mode": "compact"}, "domain": {"bc": ["robin", "a", 1]}}),
+    ("isospec", {"pair": {"l": 1}, "operator": {"n_max": 0}, "domain": {"bc": "wrong", "N": 40}}),
+])
+def test_unknown_boundary_condition_is_config_error(tmp_path, capsys, command, config):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: domain.bc")
+    assert "Traceback" not in err
+
+
 def test_parse_config_sections(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("[group]\nl = 3\na = 1\nb = 0\n\n[domain]\nbc = \"dirichlet\"\nR2 = 16.0\n")

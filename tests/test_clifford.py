@@ -68,6 +68,25 @@ def test_build_generators_deterministic():
         assert np.array_equal(ga, gb)
 
 
+def test_build_generators_cached_and_read_only():
+    mod = build_generators(5)
+    assert build_generators(5) is mod
+    with pytest.raises(ValueError):
+        mod.generators[0][0, 0] = 7
+    # the size cap is checked before the cache is consulted
+    with pytest.raises(SizeCapExceeded):
+        build_generators(5, size_cap=4)
+
+
+def test_module_keeps_its_checked_generators():
+    gens = [g.copy() for g in build_generators(2).generators]
+    mod = CliffordModule(l=2, n=4, generators=gens)
+    gens[0][:] = 0  # mutating the caller's arrays leaves the module intact
+    assert mod.anticommutation_residual() == 0
+    with pytest.raises(ValueError):
+        mod.generators[1][:] = 0
+
+
 def test_build_J_block_signs():
     space = endomorphism_space(1, 1, 1)
     J = build_J(space, [1.0])

@@ -20,7 +20,6 @@ from nilspec.glz import (
     laguerre_eigenfunction,
     laguerre_operator_apply,
     laguerre_orthogonality_residual,
-    alternative_coefficient_recursion,
     radial_apply,
     scaled_eigenfunction,
     shooting_eigenvalue,
@@ -84,14 +83,6 @@ def test_laguerre_eigenfunction_exact():
             alpha = Fraction(k, 2) + n - 1
             img = laguerre_operator_apply(u, alpha)
             assert all(img[i] + r * u[i] == 0 for i in range(len(u)))
-
-
-def test_alternative_recursion_mismatch():
-    # the alternative recursion gives a_1 = 0 for r = 1, contradicting the
-    # monic Laguerre form t - (k/2 + n) forced by the operator identity
-    rec = alternative_coefficient_recursion(1, 0, 2)
-    assert rec[1] == 0
-    assert laguerre_eigenfunction(1, 0, 2)[0] == Fraction(-1)
 
 
 def test_laguerre_orthogonality():

@@ -19,6 +19,8 @@ from nilspec.quadrature import (
     sphere_area,
     sphere_rule,
     zonal_eigenfunction,
+    zonal_projector,
+    zonal_projector_factor,
 )
 
 
@@ -49,6 +51,53 @@ def test_zonal_eigenfunction_values():
     assert np.allclose(zonal_eigenfunction(3, 1, rho), np.cos(rho))
     assert np.allclose(zonal_eigenfunction(2, 2, rho), np.cos(2 * rho))
     assert zonal_eigenfunction(5, 3, 0.0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_zonal_projector_kernel_from_cosines(l):
+    # one node per cosine c against the pole e_1, unit weights: row 0 of the
+    # projector is dim/area * phi_s(arccos c)
+    c = np.linspace(-1.0, 1.0, 41)
+    nodes = np.zeros((len(c), l))
+    nodes[:, 0], nodes[:, 1] = c, np.sqrt(1.0 - c**2)
+    pole = np.eye(l)[:1]
+    for s in range(7):
+        row = zonal_projector(l, s, nodes, np.ones(len(c)), pole)[0]
+        kern = row * sphere_area(l) / harmonic_space_dimension(l, s)
+        assert np.abs(kern - zonal_eigenfunction(l, s, np.arccos(c))).max() < 1e-13
+
+
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_zonal_projector_factor_matches_dense(l):
+    nodes, weights = sphere_rule(l, 6)
+    for s in range(5):
+        A, Bt = zonal_projector_factor(l, s, 6)
+        dim = harmonic_space_dimension(l, s)
+        assert A.shape == (len(nodes), dim) and Bt.shape == (dim, len(nodes))
+        dense = zonal_projector(l, s, nodes, weights)
+        assert np.abs(A @ Bt - dense).max() < 1e-13
+        # negative control: the neighbouring degrees are other projectors
+        for other in (s - 1, s + 1):
+            if other >= 0:
+                A2, Bt2 = zonal_projector_factor(l, other, 6)
+                assert np.abs(A2 @ Bt2 - dense).max() > 1e-3
+
+
+def test_zonal_projector_factor_cached_and_read_only():
+    A, Bt = zonal_projector_factor(3, 2, 8)
+    again = zonal_projector_factor(3, 2, 8)
+    assert again[0] is A and again[1] is Bt
+    with pytest.raises(ValueError):
+        A[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        Bt[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("l, s, order", [(2, 4, 2), (3, 2, 1), (3, 4, 2), (4, 3, 3)])
+def test_zonal_projector_factor_rejects_inexact_rule(l, s, order):
+    # the rule integrates degree < 2 order, so degree-s products need s < order
+    with pytest.raises(RuntimeError, match="not a rank"):
+        zonal_projector_factor(l, s, order)
 
 
 def test_harmonic_space_dimensions():
