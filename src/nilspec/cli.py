@@ -154,11 +154,21 @@ def _load_group(config):
             if np.abs(m + m.T).max() > 1e-12:
                 raise ConfigError(f"generator {idx} in {group['generator_file']} is not skew-symmetric")
         return TwoStepAlgebra(arrays)
-    try:
-        l, a, b = int(group["l"]), int(group.get("a", 1)), int(group.get("b", 0))
-    except KeyError as exc:
-        raise ConfigError(f"group config needs l (and optional a, b): missing {exc}") from exc
+    l = _integer("group.l", group.get("l"), 1)
+    a = _integer("group.a", group.get("a", 1), 0)
+    b = _integer("group.b", group.get("b", 0), 0)
+    if a + b == 0:
+        raise ConfigError("group.a + group.b must be at least 1")
     return htype_group(l, a, b)
+
+
+def _integer(name, value, low):
+    """A config entry that must be an integer >= low."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 _BOUNDARY_CONDITIONS = ("dirichlet", "neumann")
@@ -303,7 +313,10 @@ def cmd_spectrum(config, out_dir, seed, tol, jobs):
 def cmd_curvature(config, out_dir, seed, tol, jobs):
     alg = _load_group(config)
     report = curvature_report(alg, seed=seed, tol=tol or 1e-12)
-    ext = SolvableExtension(alg, q=float(config.get("q", 1.0)))
+    q = config.get("q", 1.0)
+    if isinstance(q, bool) or not isinstance(q, (int, float)) or not np.isfinite(q) or q <= 0:
+        raise ConfigError(f"q must be a finite number > 0, got {q!r}")
+    ext = SolvableExtension(alg, q=float(q))
     scalar = ext.scalar_curvature()
     expect = -(alg.k / 4.0 + alg.l) * (alg.k + alg.l + 1.0) if ext.q == 1.0 else None
     result = {"kind": "curvature", "solvable_scalar": float(scalar),

@@ -53,40 +53,21 @@ def suite_htype(seed=0, perturb=False):
 
 def suite_curvature(seed=0, perturb=False):
     out = []
-    rng = np.random.default_rng(seed)
-    worst_sym = worst_pair = worst_bianchi = 0.0
+    worst = {"pair_symmetry": 0.0, "antisymmetry": 0.0, "bianchi": 0.0}
     for name, alg in [("H^(1,0)_3", algebra.htype_group(3, 1, 0)), ("H^(1,1)_3", algebra.htype_group(3, 1, 1))]:
-        for _ in range(10):
-            U, V, W, S = [(rng.standard_normal(alg.k), rng.standard_normal(alg.l)) for _ in range(4)]
-            R1 = geometry.riemann(alg, U, V, W)
-            R2 = geometry.riemann(alg, V, U, W)
-            R3 = geometry.riemann(alg, W, S, U)
-            ip = lambda A, B: A[0] @ B[0] + A[1] @ B[1]
-            Spair = (np.asarray(S[0]), np.asarray(S[1]))
-            Vpair = (np.asarray(V[0]), np.asarray(V[1]))
-            worst_sym = max(worst_sym, abs(ip(R1, Spair) + ip(R2, Spair)))
-            worst_pair = max(worst_pair, abs(ip(R1, Spair) - ip(R3, Vpair)))
-            b = [x + y + z for x, y, z in zip(
-                geometry.riemann(alg, U, V, W),
-                geometry.riemann(alg, V, W, U),
-                geometry.riemann(alg, W, U, V))]
-            worst_bianchi = max(worst_bianchi, max(np.abs(b[0]).max(), np.abs(b[1]).max()))
-        # closed Ricci vs frame trace
-        worst_ric = 0.0
-        for _ in range(5):
-            U = (rng.standard_normal(alg.k), rng.standard_normal(alg.l))
-            V = (rng.standard_normal(alg.k), rng.standard_normal(alg.l))
-            worst_ric = max(worst_ric, abs(geometry.ricci(alg, U, V) - geometry.ricci_htype(alg, U, V)))
-        out.append(_check(f"{name} ricci trace vs closed", worst_ric, 1e-12))
+        residuals = geometry.curvature_report(alg, samples=10, seed=seed)["residuals"]
+        for key in worst:
+            worst[key] = max(worst[key], residuals[key])
+        out.append(_check(f"{name} ricci trace vs closed", residuals["ricci_closed_vs_trace"], 1e-12))
         ext = geometry.SolvableExtension(alg, 1.0)
         expect = -(alg.k / 4.0 + alg.l) * (alg.k + alg.l + 1.0)
         val = abs(ext.scalar_curvature() - expect)
         if perturb:
             val += 1.0
         out.append(_check(f"{name} solvable scalar", val, 1e-12))
-    out.append(_check("pair symmetry", worst_pair, 1e-12))
-    out.append(_check("antisymmetry", worst_sym, 1e-12))
-    out.append(_check("first Bianchi", worst_bianchi, 1e-12))
+    out.append(_check("pair symmetry", worst["pair_symmetry"], 1e-12))
+    out.append(_check("antisymmetry", worst["antisymmetry"], 1e-12))
+    out.append(_check("first Bianchi", worst["bianchi"], 1e-12))
     return out
 
 

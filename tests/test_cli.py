@@ -59,6 +59,34 @@ def test_unknown_boundary_condition_is_config_error(tmp_path, capsys, command, c
     assert "Traceback" not in err
 
 
+_BAD_GROUPS = [
+    {"l": 0},
+    {"l": -2},
+    {"l": "x"},
+    {"l": 2.5},
+    {"l": True},
+    {"l": 3, "a": 0, "b": 0},
+    {"l": 3, "a": -1},
+    {"l": 3, "a": 1, "b": -1},
+    {"l": 3, "a": "1"},
+]
+
+
+@pytest.mark.parametrize("command, config", [
+    *[(cmd, {"group": g}) for cmd in ("build-group", "spectrum", "curvature") for g in _BAD_GROUPS],
+    ("build-group", {"group": {"a": 1}}),
+    *[("curvature", {"group": {"l": 1}, "q": q})
+      for q in (-1, 0, "x", "1.5", None, True, float("nan"), float("inf"))],
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_bad_group_or_q_is_config_error(tmp_path, capsys, command, config):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_parse_config_sections(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("[group]\nl = 3\na = 1\nb = 0\n\n[domain]\nbc = \"dirichlet\"\nR2 = 16.0\n")

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from nilspec.algebra import htype_group
+from nilspec import geometry
+from nilspec.algebra import TwoStepAlgebra, from_representation, htype_group, realify, su_generators
 from nilspec.geometry import (
     SolvableExtension,
     connection,
+    curvature_report,
     hubble_scaling,
     invariant_vector_fields,
     laplacian_apply,
@@ -120,6 +122,119 @@ def test_ricci_trace_matches_htype_closed():
         for _ in range(8):
             U, V = _pair(alg, rng), _pair(alg, rng)
             assert abs(ricci(alg, U, V) - ricci_htype(alg, U, V)) < 1e-12
+
+
+# the six curvature groups of the structures benchmark, plus H^(2,1)_3
+CURVATURE_GROUPS = [(1, 1, 0), (2, 1, 0), (3, 1, 0), (3, 1, 1), (5, 1, 0), (7, 1, 0), (3, 2, 1)]
+
+
+def _riemann_from_connection(alg, U, V, W):
+    """R(U,V)W = nabla_U nabla_V W - nabla_V nabla_U W - nabla_[U,V] W."""
+    UV = (np.zeros(alg.k), alg.bracket(U[0], V[0]))
+    a = connection(alg, U, connection(alg, V, W))
+    b = connection(alg, V, connection(alg, U, W))
+    c = connection(alg, UV, W)
+    return [x - y - z for x, y, z in zip(a, b, c)]
+
+
+@pytest.mark.parametrize("l, a, b", CURVATURE_GROUPS)
+def test_riemann_closed_forms_match_connection_oracle(l, a, b):
+    alg = htype_group(l, a, b)
+    rng = np.random.default_rng(10 * l + a + b)
+    for _ in range(10):
+        U, V, W = (_pair(alg, rng) for _ in range(3))
+        R = riemann(alg, U, V, W)
+        O = _riemann_from_connection(alg, U, V, W)
+        assert np.abs(R[0] - O[0]).max() < 1e-13
+        assert np.abs(R[1] - O[1]).max() < 1e-13
+
+
+def test_stacked_riemann_matches_per_triple():
+    for l, a, b in [(3, 1, 1), (7, 1, 0)]:
+        alg = htype_group(l, a, b)
+        rng = np.random.default_rng(l)
+        X = rng.standard_normal((3, 6, alg.k))
+        Z = rng.standard_normal((3, 6, alg.l))
+        xs, zs = geometry._riemann(alg.J_basis, X[0], Z[0], X[1], Z[1], X[2], Z[2])
+        assert xs.shape == (6, alg.k) and zs.shape == (6, alg.l)
+        for s in range(6):
+            x, z = riemann(alg, (X[0, s], Z[0, s]), (X[1, s], Z[1, s]), (X[2, s], Z[2, s]))
+            assert np.abs(x - xs[s]).max() <= 1e-15
+            assert np.abs(z - zs[s]).max() <= 1e-15
+
+
+def test_ricci_equals_per_frame_vector_trace():
+    for l, a, b in [(1, 1, 0), (3, 1, 1), (5, 1, 0)]:
+        alg = htype_group(l, a, b)
+        rng = np.random.default_rng(l + a + b)
+        for _ in range(4):
+            U, V = _pair(alg, rng), _pair(alg, rng)
+            loop = 0.0
+            for i, E in enumerate(np.eye(alg.k)):
+                loop += riemann(alg, (E, None), U, V)[0][i]
+            for i, E in enumerate(np.eye(alg.l)):
+                loop += riemann(alg, (None, E), U, V)[1][i]
+            got = ricci(alg, U, V)
+            assert isinstance(got, float)
+            assert abs(got - loop) < 1e-13
+
+
+def test_curvature_report_without_samples():
+    report = curvature_report(htype_group(3, 1, 0), samples=0)
+    names = ("antisymmetry", "pair_symmetry", "bianchi", "ricci_closed_vs_trace")
+    assert report == {
+        "k": 4,
+        "l": 3,
+        "ricci_unit_X": -1.5,
+        "ricci_unit_Z": 1.0,
+        "scalar_curvature": -3.0,
+        "sample_riemann": None,
+        "residuals": dict.fromkeys(names, 0.0),
+        "within_tol": dict.fromkeys(names, True),
+        "tol": 1e-12,
+    }
+
+
+def test_curvature_report_passes_on_htype_groups():
+    for l, a, b in CURVATURE_GROUPS:
+        report = curvature_report(htype_group(l, a, b), samples=5, seed=l)
+        assert all(report["within_tol"].values()), report["residuals"]
+        assert len(report["sample_riemann"]["x_part"]) == report["k"]
+
+
+def test_curvature_report_ricci_fails_off_htype():
+    # the su(3) image is two-step but not H-type: the curvature symmetries
+    # hold, the closed H-type Ricci form does not
+    su3 = from_representation(realify(su_generators(3)))
+    report = curvature_report(su3, samples=5, seed=0)
+    assert report["residuals"]["ricci_closed_vs_trace"] > 1.0
+    assert report["within_tol"] == {
+        "antisymmetry": True, "pair_symmetry": True, "bianchi": True, "ricci_closed_vs_trace": False,
+    }
+
+
+def test_curvature_report_keeps_nan_residuals():
+    # a NaN residual must fail its check, not read as the 0.0 it started from
+    alg = TwoStepAlgebra([np.array([[0.0, np.nan], [-1.0, 0.0]])])
+    report = curvature_report(alg, samples=2)
+    assert all(np.isnan(v) for v in report["residuals"].values())
+    assert not any(report["within_tol"].values())
+
+
+def test_curvature_report_symmetry_checks_can_fail(monkeypatch):
+    closed = geometry._riemann
+
+    def broken(J_basis, Xu, Zu, Xv, Zv, Xw, Zw):
+        # add |X_U|^2 W: not antisymmetric in (U, V), breaks all three identities
+        xpart, zpart = closed(J_basis, Xu, Zu, Xv, Zv, Xw, Zw)
+        norm = np.einsum("...i,...i->...", Xu, Xu)[..., None]
+        return xpart + 1e-6 * norm * Xw, zpart + 1e-6 * norm * Zw
+
+    monkeypatch.setattr(geometry, "_riemann", broken)
+    report = curvature_report(htype_group(3, 1, 1), samples=5, seed=0)
+    for name in ("antisymmetry", "pair_symmetry", "bianchi"):
+        assert report["residuals"][name] > report["tol"], name
+        assert not report["within_tol"][name]
 
 
 def test_scalar_curvature():
