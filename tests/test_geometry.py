@@ -195,6 +195,18 @@ def test_curvature_report_without_samples():
     }
 
 
+def test_curvature_report_keeps_the_per_vector_stream():
+    # sample 0 is R(U,V)W of the first four per-vector (X, Z) draws
+    for l, a, b in [(1, 1, 0), (3, 2, 1)]:
+        alg = htype_group(l, a, b)
+        rng = np.random.default_rng(5)
+        U, V, W, _ = [(rng.standard_normal(alg.k), rng.standard_normal(alg.l)) for _ in range(4)]
+        x, z = riemann(alg, U, V, W)
+        sample = curvature_report(alg, samples=3, seed=5)["sample_riemann"]
+        assert np.abs(np.array(sample["x_part"]) - x).max() <= 1e-15 * max(1.0, np.abs(x).max())
+        assert np.abs(np.array(sample["z_part"]) - z).max() <= 1e-15 * max(1.0, np.abs(z).max())
+
+
 def test_curvature_report_passes_on_htype_groups():
     for l, a, b in CURVATURE_GROUPS:
         report = curvature_report(htype_group(l, a, b), samples=5, seed=l)
