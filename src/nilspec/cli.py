@@ -1,26 +1,29 @@
 """Command-line orchestration: reproducible runs, result cache, reports.
 
 Subcommands: build-group, spectrum, curvature, verify, isospec, waves,
-report.  Configs are JSON or [section]-structured key = value text; output
-JSON is canonical (sorted keys, 17-significant-digit floats), so identical
-config + seed reproduces identical bytes.  Exit codes: 0 success, 1
-verification failure, 2 config error, 3 numerical failure.
+report.  Configs are JSON or [section]-structured key = value text; every
+key is read through one table, and a malformed key is a config error
+before any computation.  Output JSON is canonical (sorted keys,
+17-significant-digit floats), so identical config + seed reproduces
+identical bytes.  Exit codes: 0 success, 1 verification failure, 2 config
+error, 3 numerical failure.
 """
 
 import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .algebra import htype_group, TwoStepAlgebra
+from .clifford import SizeCapExceeded
 from .geometry import SolvableExtension, curvature_report
 from .glz import (
     RadialGLZOperator,
@@ -78,7 +81,10 @@ def canonical_json(obj, indent=0):
 
 def parse_config(path):
     """JSON if the file starts with '{', otherwise [section] key = value."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -145,47 +151,123 @@ class ResultCache:
         return path
 
 
+# report section: the command that writes it
+_REPORT_SOURCES = {"group": "build-group", "spectrum": "spectrum", "curvature": "curvature",
+                   "verify": "verify", "isospec": "isospec", "waves": "waves"}
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_bc(v):
+    if isinstance(v, str):
+        return v.lower() in ("dirichlet", "neumann")
+    return (isinstance(v, list) and len(v) == 3 and isinstance(v[0], str) and v[0].lower() == "robin"
+            and all(_is_number(c) for c in v[1:]))
+
+
+_KINDS = {  # kind: (test, description)
+    "int": (_is_int, "an integer"),
+    "number": (_is_number, "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "mode": (lambda v: v in ("explicit", "fullspace", "compact"), 'one of "explicit", "fullspace", "compact"'),
+    "bc": (_is_bc, '"dirichlet", "neumann" or ["robin", A, B]'),
+    "strata": (lambda v: isinstance(v, list) and len(v) > 0 and all(
+        isinstance(s, list) and len(s) == 2 and all(map(_is_int, s)) for s in v
+    ), "a non-empty list of [n, m] integer pairs"),
+    "sections": (lambda v: isinstance(v, list) and all(isinstance(s, str) and s in _REPORT_SOURCES for s in v),
+                 f"a list of report sections out of {sorted(_REPORT_SOURCES)}"),
+}
+
+# Every config key: (kind, default, range), the range "> 0", ">= 0" or None.
+# The library objects built from the values (groups, radial operators,
+# solvable extensions, physical constants) make their own checks, which
+# _build turns into config errors.
+_KEYS = {
+    "group.generator_file": ("str", None, None),
+    "group.l": ("int", None, None),
+    "group.a": ("int", 1, None),
+    "group.b": ("int", 0, None),
+    "pair.l": ("int", 3, None),
+    "pair.a_left": ("int", 2, None),
+    "pair.b_left": ("int", 0, None),
+    "pair.a_right": ("int", 1, None),
+    "pair.b_right": ("int", 1, None),
+    "operator.mode": ("mode", "explicit", None),
+    "operator.mu": ("number", 1.0, None),
+    "operator.r_max": ("int", 3, ">= 0"),
+    "operator.p_max": ("int", 2, ">= 0"),
+    "operator.n": ("int", 0, None),
+    "operator.m": ("int", None, None),  # defaults to operator.n
+    "operator.strata": ("strata", [[0, 0]], None),
+    "operator.n_max": ("int", 2, ">= 0"),
+    "domain.R2": ("number", 40.0, "> 0"),
+    "domain.bc": ("bc", "dirichlet", None),
+    "domain.count": ("int", 5, "> 0"),
+    "domain.N": ("int", 300, "> 0"),
+    "domain.T": ("number", 60.0, "> 0"),
+    "q": ("number", 1.0, None),
+    "perturb": ("bool", False, None),
+    "ensure": ("sections", [], None),
+    "hbar": ("number", 1.0, None),
+    "c": ("number", 1.0, None),
+    "m": ("number", 1.0, None),
+}
+
+_RANGES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0}
+
+
+def _setting(config, key, default=None):
+    """The checked value of `key`, "section.name" or a top-level name.
+
+    A missing key reads as `default` when given, else as the table's default.
+    """
+    kind, table_default, bound = _KEYS[key]
+    section, _, name = key.rpartition(".")
+    scope = config.get(section, {}) if section else config
+    if not isinstance(scope, dict):
+        raise ConfigError(f"[{section}] must be a section of key = value entries, got {scope!r}")
+    if name not in scope:
+        return table_default if default is None else default
+    value = scope[name]
+    test, description = _KINDS[kind]
+    if not test(value):
+        raise ConfigError(f"{key} must be {description}, got {value!r}")
+    if bound is not None and not _RANGES[bound](value):
+        raise ConfigError(f"{key} must be {bound}, got {value!r}")
+    return float(value) if kind == "number" else value
+
+
+def _build(what, factory, *args):
+    """factory(*args) for a library object the config names; its own checks
+    (ValueError, the Clifford size cap, an unreadable file) are config errors."""
+    try:
+        return factory(*args)
+    except (OSError, ValueError, SizeCapExceeded) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _read_generators(path):
+    mats = json.loads(Path(path).read_text())
+    if not isinstance(mats, list) or not mats:
+        raise ValueError("expected a non-empty JSON list of matrices")
+    return TwoStepAlgebra([np.asarray(m, dtype=float) for m in mats])
+
+
 def _load_group(config):
-    group = config.get("group", {})
-    if "generator_file" in group:
-        mats = json.loads(Path(group["generator_file"]).read_text())
-        arrays = [np.asarray(m, dtype=float) for m in mats]
-        for idx, m in enumerate(arrays):
-            if np.abs(m + m.T).max() > 1e-12:
-                raise ConfigError(f"generator {idx} in {group['generator_file']} is not skew-symmetric")
-        return TwoStepAlgebra(arrays)
-    l = _integer("group.l", group.get("l"), 1)
-    a = _integer("group.a", group.get("a", 1), 0)
-    b = _integer("group.b", group.get("b", 0), 0)
-    if a + b == 0:
-        raise ConfigError("group.a + group.b must be at least 1")
-    return htype_group(l, a, b)
-
-
-def _integer(name, value, low):
-    """A config entry that must be an integer >= low."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ConfigError(f"{name} must be >= {low}, got {value}")
-    return value
-
-
-_BOUNDARY_CONDITIONS = ("dirichlet", "neumann")
-
-
-def _boundary_condition(bc):
-    """A domain.bc entry: "dirichlet", "neumann" or ["robin", A, B]."""
-    if isinstance(bc, str) and bc.lower() in _BOUNDARY_CONDITIONS:
-        return bc
-    if (
-        isinstance(bc, list)
-        and len(bc) == 3
-        and str(bc[0]).lower() == "robin"
-        and all(isinstance(c, (int, float)) for c in bc[1:])
-    ):
-        return bc
-    raise ConfigError(f'domain.bc must be "dirichlet", "neumann" or ["robin", A, B], got {bc!r}')
+    path = _setting(config, "group.generator_file")
+    if path is not None:
+        return _build("group.generator_file", _read_generators, path)
+    l = _setting(config, "group.l")
+    if l is None:
+        raise ConfigError("group.l or group.generator_file is required")
+    return _build("group", htype_group, l, _setting(config, "group.a"), _setting(config, "group.b"))
 
 
 def _write(out_dir, name, text):
@@ -195,9 +277,20 @@ def _write(out_dir, name, text):
     return path
 
 
-def cmd_build_group(config, out_dir, seed, tol, jobs):
+def _compact(op, R, bc, count, N):
+    """compact_spectrum; a numerical failure when it breaks its min-max bound."""
+    rec = compact_spectrum(op, R, bc, count=count, N=N)
+    vals = rec.values()
+    bound = compact_upper_bound(op, bc)
+    if vals.max() > bound + 1e-8 * max(1.0, np.abs(vals).max()):
+        raise RuntimeError(f"stratum (n={op.n}, m={op.m}, bc={rec.bc}): eigenvalue {vals.max():.6g} "
+                           f"above the min-max bound {bound:.6g}; the grid does not resolve it")
+    return rec
+
+
+def cmd_build_group(config, opts):
     alg = _load_group(config)
-    ok, residual = alg.is_h_type(samples=100, seed=seed, tol=tol or 1e-10)
+    ok, residual = alg.is_h_type(samples=100, seed=opts.seed, tol=opts.tol or 1e-10)
     summary = {
         "kind": "build-group",
         "k": alg.k,
@@ -206,102 +299,59 @@ def cmd_build_group(config, out_dir, seed, tol, jobs):
         "h_type": bool(ok),
         "h_type_residual": float(residual),
     }
-    text = canonical_json(summary) + "\n"
-    path = _write(out_dir, "group.json", text)
+    path = _write(opts.out, "group.json", canonical_json(summary) + "\n")
     print(f"k={alg.k} l={alg.l} h-type={ok} residual={residual:.3e} -> {path}")
     return 0
 
 
-def _one_compact(args):
-    k, n, m, mu, R, bc, count, N = args
-    rec = compact_spectrum(RadialGLZOperator(k, n, m, mu), R, bc, count=count, N=N)
-    return rec
-
-
-def _check_upper_bound(rec, op, bc):
-    """Numerical failure when a compact spectrum breaks its min-max bound."""
-    vals = rec.values()
-    bound = compact_upper_bound(op, bc)
-    if vals.max() > bound + 1e-8 * max(1.0, np.abs(vals).max()):
-        raise RuntimeError(
-            f"stratum (n={op.n}, m={op.m}, bc={rec.bc}): eigenvalue {vals.max():.6g} "
-            f"above the min-max bound {bound:.6g}; the grid does not resolve it"
-        )
-
-
-def cmd_spectrum(config, out_dir, seed, tol, jobs):
+def cmd_spectrum(config, opts):
     alg = _load_group(config)
-    op_cfg = config.get("operator", {})
-    dom = config.get("domain", {})
-    mode = op_cfg.get("mode", "explicit")
-    mu = float(op_cfg.get("mu", 1.0))
+    mode = _setting(config, "operator.mode")
+    mu = _setting(config, "operator.mu")
+    count = _setting(config, "domain.count")
+    N = _setting(config, "domain.N")
+    if mode == "fullspace":
+        n = _setting(config, "operator.n")
+        strata = [[n, _setting(config, "operator.m", default=n)]]
+    else:
+        strata = _setting(config, "operator.strata") if mode == "compact" else []
+    ops = [_build(f"operator (n={n}, m={m})", RadialGLZOperator, alg.k, n, m, mu) for n, m in strata]
+    out_dir = opts.out
     cache = ResultCache(out_dir / "cache")
-    payload = {"cmd": "spectrum", "config": {"group": {"k": alg.k, "l": alg.l}, "operator": op_cfg, "domain": dom, "seed": seed}}
+    payload = {"cmd": "spectrum", "config": {"group": {"k": alg.k, "l": alg.l}, "operator": config.get("operator", {}),
+                                             "domain": config.get("domain", {}), "seed": opts.seed}}
     hit = cache.get(payload)
     if hit is not None:
         (out_dir / "spectrum.json").write_bytes(hit)
         print(f"cache hit -> {out_dir / 'spectrum.json'}")
         return 0
     if mode == "explicit":
-        r_max = int(op_cfg.get("r_max", 3))
-        p_max = int(op_cfg.get("p_max", 2))
-        rows = []
-        for r in range(r_max + 1):
-            for p in range(p_max + 1):
-                rows.append({"r": r, "p": p, "value": explicit_eigenvalue(mu, r, p, alg.k)})
+        rows = [
+            {"r": r, "p": p, "value": explicit_eigenvalue(mu, r, p, alg.k)}
+            for r in range(_setting(config, "operator.r_max") + 1)
+            for p in range(_setting(config, "operator.p_max") + 1)
+        ]
         result = {"kind": "spectrum", "mode": "explicit", "mu": mu, "k": alg.k, "rows": rows,
                   "provenance": "explicit"}
         rec_csv = "r,p,value\n" + "\n".join(
             f"{row['r']},{row['p']},{format(row['value'], '.17g')}" for row in rows
         )
-    elif mode == "fullspace":
-        n = int(op_cfg.get("n", 0))
-        m = int(op_cfg.get("m", n))
-        count = int(dom.get("count", 5))
-        N = int(dom.get("N", 300))
-        rec = fullspace_spectrum(RadialGLZOperator(alg.k, n, m, mu), T=float(dom.get("T", 60.0)), N=N, count=count)
-        result = {
-            "kind": "spectrum", "mode": "fullspace", "mu": mu, "k": alg.k,
-            "strata": [{"n": n, "m": m, "values": [float(v) for v in rec.values()]}],
-            "provenance": "discretized",
-        }
-        rec_csv = "n,m,r,value\n" + "\n".join(
-            f"{n},{m},{i},{format(v, '.17g')}" for i, v in enumerate(rec.values())
-        )
-    elif mode == "compact":
-        R = float(np.sqrt(dom.get("R2", 40.0)))
-        bc = _boundary_condition(dom.get("bc", "dirichlet"))
-        count = int(dom.get("count", 5))
-        N = int(dom.get("N", 300))
-        strata = op_cfg.get("strata", [[0, 0]])
-        tasks = [(alg.k, int(n), int(m), mu, R, bc, count, N) for (n, m) in strata]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                recs = list(pool.map(_one_compact, tasks))
-        else:
-            recs = [_one_compact(t) for t in tasks]
-        for (k, n, m, *_), rec in zip(tasks, recs):
-            _check_upper_bound(rec, RadialGLZOperator(k, n, m, mu), bc)
-        result = {
-            "kind": "spectrum",
-            "mode": "compact",
-            "mu": mu,
-            "k": alg.k,
-            "bc": bc,
-            "R2": R**2,
-            "strata": [
-                {"n": t[1], "m": t[2], "values": [float(v) for v in rec.values()]}
-                for t, rec in zip(tasks, recs)
-            ],
-            "provenance": "discretized",
-        }
-        rec_csv = "n,m,r,value\n" + "\n".join(
-            f"{s['n']},{s['m']},{i},{format(v, '.17g')}"
-            for s in result["strata"]
-            for i, v in enumerate(s["values"])
-        )
     else:
-        raise ConfigError(f"unknown spectrum mode {mode!r}")
+        result = {"kind": "spectrum", "mode": mode, "mu": mu, "k": alg.k, "provenance": "discretized"}
+        if mode == "compact":
+            R = float(np.sqrt(_setting(config, "domain.R2")))
+            bc = _setting(config, "domain.bc")
+            result.update(bc=bc, R2=R**2)
+            solve = lambda op: _compact(op, R, bc, count, N)
+        else:
+            T = _setting(config, "domain.T")
+            solve = lambda op: fullspace_spectrum(op, T=T, N=N, count=count)
+        result["strata"] = [
+            {"n": op.n, "m": op.m, "values": [float(v) for v in solve(op).values()]} for op in ops
+        ]
+        rec_csv = "n,m,r,value\n" + "\n".join(
+            f"{s['n']},{s['m']},{i},{format(v, '.17g')}" for s in result["strata"] for i, v in enumerate(s["values"])
+        )
     text = canonical_json(result) + "\n"
     cache.put(payload, text.encode())
     _write(out_dir, "spectrum.json", text)
@@ -310,36 +360,27 @@ def cmd_spectrum(config, out_dir, seed, tol, jobs):
     return 0
 
 
-def cmd_curvature(config, out_dir, seed, tol, jobs):
+def cmd_curvature(config, opts):
     alg = _load_group(config)
-    report = curvature_report(alg, seed=seed, tol=tol or 1e-12)
-    q = config.get("q", 1.0)
-    if isinstance(q, bool) or not isinstance(q, (int, float)) or not np.isfinite(q) or q <= 0:
-        raise ConfigError(f"q must be a finite number > 0, got {q!r}")
-    ext = SolvableExtension(alg, q=float(q))
+    ext = _build("q", SolvableExtension, alg, _setting(config, "q"))
+    report = curvature_report(alg, seed=opts.seed, tol=opts.tol or 1e-12)
     scalar = ext.scalar_curvature()
     expect = -(alg.k / 4.0 + alg.l) * (alg.k + alg.l + 1.0) if ext.q == 1.0 else None
     result = {"kind": "curvature", "solvable_scalar": float(scalar),
               "solvable_scalar_closed_form": expect, **report}
-    text = canonical_json(result) + "\n"
-    path = _write(out_dir, "curvature.json", text)
+    path = _write(opts.out, "curvature.json", canonical_json(result) + "\n")
     worst = report["residuals"]["ricci_closed_vs_trace"]
     print(f"Ric(X)= {report['ricci_unit_X']}  Ric(Z)= {report['ricci_unit_Z']}  trace residual {worst:.2e}")
     print(f"solvable scalar {scalar}  closed form {expect} -> {path}")
     return 0
 
 
-def cmd_verify(config, out_dir, seed, tol, jobs, only=None):
-    perturb = bool(config.get("perturb", False))
-    results = run_all(only=only, seed=seed, perturb=perturb)
-    failed = 0
-    lines = []
+def cmd_verify(config, opts):
+    results = run_all(only=opts.only, seed=opts.seed, perturb=_setting(config, "perturb"))
     for suite, checks in results.items():
         for name, ok, detail in checks:
-            flag = "PASS" if ok else "FAIL"
-            failed += 0 if ok else 1
-            lines.append(f"{flag}  [{suite}] {name}  ({detail:.3e})")
-    print("\n".join(lines))
+            print(f"{'PASS' if ok else 'FAIL'}  [{suite}] {name}  ({detail:.3e})")
+    failed = sum(not ok for checks in results.values() for _, ok, _ in checks)
     payload = {
         "kind": "verify",
         "failed": failed,
@@ -348,53 +389,42 @@ def cmd_verify(config, out_dir, seed, tol, jobs, only=None):
             for suite, checks in results.items()
         },
     }
-    _write(out_dir, "verify.json", canonical_json(payload) + "\n")
+    _write(opts.out, "verify.json", canonical_json(payload) + "\n")
     return 0 if failed == 0 else 1
 
 
-def cmd_isospec(config, out_dir, seed, tol, jobs):
-    pair = config.get("pair", {})
-    l = int(pair.get("l", 3))
-    left = htype_group(l, int(pair.get("a_left", 2)), int(pair.get("b_left", 0)))
-    right = htype_group(l, int(pair.get("a_right", 1)), int(pair.get("b_right", 1)))
+def cmd_isospec(config, opts):
+    l = _setting(config, "pair.l")
+    left = _build("pair", htype_group, l, _setting(config, "pair.a_left"), _setting(config, "pair.b_left"))
+    right = _build("pair", htype_group, l, _setting(config, "pair.a_right"), _setting(config, "pair.b_right"))
     if left.k != right.k:
         raise ConfigError("isospectral comparison needs matching X-dimensions")
-    dom = config.get("domain", {})
-    if "bc" in dom:
-        # isospec compares both conditions, but a domain section shared
-        # with spectrum (as report configs do) must still be valid
-        _boundary_condition(dom["bc"])
-    R = float(np.sqrt(dom.get("R2", 16.0)))
-    count = int(dom.get("count", 5))
-    N = int(dom.get("N", 220))
-    mu = float(config.get("operator", {}).get("mu", 1.0))
-    n_max = int(config.get("operator", {}).get("n_max", 2))
+    R = float(np.sqrt(_setting(config, "domain.R2", default=16.0)))
+    count = _setting(config, "domain.count")
+    N = _setting(config, "domain.N", default=220)
+    mu = _setting(config, "operator.mu")
+    n_max = _setting(config, "operator.n_max")
+    pairs = [
+        (RadialGLZOperator(left.k, n, m, mu), RadialGLZOperator(right.k, n, m, mu))
+        for n in range(n_max + 1)
+        for m in range(-n, n + 1, 2)
+    ]
     reports = []
-    ok = True
-    for bc in _BOUNDARY_CONDITIONS:
-        for n in range(n_max + 1):
-            for m in range(-n, n + 1, 2):
-                op_l = RadialGLZOperator(left.k, n, m, mu)
-                op_r = RadialGLZOperator(right.k, n, m, mu)
-                rl = compact_spectrum(op_l, R, bc, count=count, N=N)
-                rr = compact_spectrum(op_r, R, bc, count=count, N=N)
-                _check_upper_bound(rl, op_l, bc)
-                _check_upper_bound(rr, op_r, bc)
-                rep = spectra_compare(rl, rr, tol=tol or 1e-6)
-                ok = ok and rep["isospectral"]
-                reports.append({"bc": bc, "n": n, "m": m, "report": rep})
+    for bc in ("dirichlet", "neumann"):
+        for op_l, op_r in pairs:
+            rl = _compact(op_l, R, bc, count, N)
+            rr = _compact(op_r, R, bc, count, N)
+            rep = spectra_compare(rl, rr, tol=opts.tol or 1e-6)
+            reports.append({"bc": bc, "n": op_l.n, "m": op_l.m, "report": rep})
+    ok = all(r["report"]["isospectral"] for r in reports)
     result = {"kind": "isospec", "pairs": reports, "isospectral": ok}
-    path = _write(out_dir, "isospec.json", canonical_json(result) + "\n")
+    path = _write(opts.out, "isospec.json", canonical_json(result) + "\n")
     print(f"isospectral verdict: {ok} -> {path}")
     return 0 if ok else 1
 
 
-def cmd_waves(config, out_dir, seed, tol, jobs):
-    cc = PhysicalConstants(
-        hbar=float(config.get("hbar", 1.0)),
-        c=float(config.get("c", 1.0)),
-        m=float(config.get("m", 1.0)),
-    )
+def cmd_waves(config, opts):
+    cc = _build("hbar, c, m", PhysicalConstants, _setting(config, "hbar"), _setting(config, "c"), _setting(config, "m"))
     alg = _load_group(config) if "group" in config else htype_group(1, 1, 0)
     norms = {
         "relativistic_plane_wave": relativistic_residual([1.0, 0.0, 0.0], cc),
@@ -406,48 +436,28 @@ def cmd_waves(config, out_dir, seed, tol, jobs):
     for name, val in norms.items():
         print(f"{name}: {val:.3e}")
     result = {"kind": "waves", "residual_norms": {k: float(v) for k, v in norms.items()}}
-    _write(out_dir, "waves.json", canonical_json(result) + "\n")
-    bad = [k for k, v in norms.items() if v > (tol or 1e-5)]
+    _write(opts.out, "waves.json", canonical_json(result) + "\n")
+    bad = [k for k, v in norms.items() if v > (opts.tol or 1e-5)]
     return 0 if not bad else 1
 
 
-_REPORT_SOURCES = {
-    "group": "build-group",
-    "spectrum": "spectrum",
-    "curvature": "curvature",
-    "verify": "verify",
-    "isospec": "isospec",
-    "waves": "waves",
-}
-
-
-def cmd_report(config, out_dir, seed, tol, jobs):
+def cmd_report(config, opts):
     # recompute any section named in `ensure` whose result file is missing
-    for name in config.get("ensure", []):
-        if name not in _REPORT_SOURCES:
-            raise ConfigError(f"unknown report section {name!r}")
-        if not (out_dir / f"{name}.json").exists():
-            command = _REPORT_SOURCES[name]
-            if command == "verify":
-                cmd_verify(config, out_dir, seed, tol, jobs)
-            else:
-                COMMANDS[command](config, out_dir, seed, tol, jobs)
+    for name in _setting(config, "ensure"):
+        if not (opts.out / f"{name}.json").exists():
+            COMMANDS[_REPORT_SOURCES[name]](config, opts)
     pieces = {}
     for name in _REPORT_SOURCES:
-        path = out_dir / f"{name}.json"
+        path = opts.out / f"{name}.json"
         if path.exists():
             pieces[name] = json.loads(path.read_text())
     lines = ["# nilspec run report", ""]
     for name, payload in sorted(pieces.items()):
-        lines.append(f"## {name}")
-        lines.append("```json")
-        lines.append(canonical_json(payload))
-        lines.append("```")
-        lines.append("")
+        lines += [f"## {name}", "```json", canonical_json(payload), "```", ""]
     text = "\n".join(lines)
-    _write(out_dir, "report.md", text)
-    _write(out_dir, "report.json", canonical_json({"sections": sorted(pieces)}) + "\n")
-    print(f"report over {len(pieces)} sections -> {out_dir / 'report.md'}")
+    _write(opts.out, "report.md", text)
+    _write(opts.out, "report.json", canonical_json({"sections": sorted(pieces)}) + "\n")
+    print(f"report over {len(pieces)} sections -> {opts.out / 'report.md'}")
     return 0
 
 
@@ -467,30 +477,19 @@ def main(argv=None):
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", default=None, help="JSON or key=value config file")
     parser.add_argument("--out", default=None, help="output directory (env NILSPEC_OUT)")
-    parser.add_argument("--jobs", type=int, default=None, help="worker count (env NILSPEC_JOBS)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--only", default=None, help="restrict verify to one suite")
-    args = parser.parse_args(argv)
-
-    out_dir = Path(args.out or os.environ.get("NILSPEC_OUT", "nilspec-out"))
-    jobs = args.jobs if args.jobs is not None else int(os.environ.get("NILSPEC_JOBS", "1"))
-
-    config = {}
-    if args.config:
-        try:
-            config = parse_config(args.config)
-        except (ConfigError, FileNotFoundError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-    if args.only and args.only not in SUITES:
-        print(f"config error: unknown suite {args.only!r}", file=sys.stderr)
-        return 2
+    opts = parser.parse_args(argv)
+    opts.out = Path(opts.out or os.environ.get("NILSPEC_OUT", "nilspec-out"))
 
     try:
-        if args.command == "verify":
-            return cmd_verify(config, out_dir, args.seed, args.tol, jobs, only=args.only)
-        return COMMANDS[args.command](config, out_dir, args.seed, args.tol, jobs)
+        config = parse_config(opts.config) if opts.config else {}
+        for key in _KEYS:  # every key present is checked before any computation
+            _setting(config, key)
+        if opts.only and opts.only not in SUITES:
+            raise ConfigError(f"unknown suite {opts.only!r}")
+        return COMMANDS[opts.command](config, opts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -5,10 +5,7 @@ Dirichlet/Neumann/Robin spectra on X-balls (Chebyshev collocation with a
 shooting cross-check), and Z-ball Bessel eigenvalues.
 """
 
-import csv
 import functools
-import io
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -570,63 +567,9 @@ class SpectrumRecord:
     provenance: str
     operator: dict = field(default_factory=dict)
     domain: dict = field(default_factory=dict)
-    group: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
 
     def values(self):
         return np.array([e["value"] for e in self.eigenvalues])
-
-    def to_json(self, indent=None):
-        payload = {
-            "group": self.group,
-            "operator": self.operator,
-            "bc": self.bc,
-            "eigenvalues": [
-                {
-                    "value": float(e["value"]),
-                    "multiplicity": e.get("multiplicity", 1),
-                    "indices": e.get("indices", {}),
-                }
-                for e in self.eigenvalues
-            ],
-            "provenance": self.provenance,
-            "domain": self.domain,
-            "tolerances": self.tolerances,
-        }
-        return json.dumps(payload, indent=indent, default=float)
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        return cls(
-            eigenvalues=d["eigenvalues"],
-            bc=d["bc"],
-            provenance=d["provenance"],
-            operator=d.get("operator", {}),
-            domain=d.get("domain", {}),
-            group=d.get("group", {}),
-            tolerances=d.get("tolerances", {}),
-        )
-
-    def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["value", "multiplicity", "r", "n", "m", "s", "bc", "provenance"])
-        for e in self.eigenvalues:
-            idx = e.get("indices", {})
-            writer.writerow(
-                [
-                    np.format_float_scientific(e["value"], precision=16),
-                    e.get("multiplicity", 1),
-                    idx.get("r", ""),
-                    idx.get("n", ""),
-                    idx.get("m", ""),
-                    idx.get("s", ""),
-                    self.bc,
-                    self.provenance,
-                ]
-            )
-        return buf.getvalue()
 
 
 def laguerre_orthogonality_residual(r1, r2, n, k):

@@ -29,7 +29,7 @@ from .harmonics import (
     project_ladder,
     projection_coefficients,
 )
-from .quadrature import gauss_legendre, sphere_rule, zonal_projector_factor
+from .quadrature import gauss_legendre, orthonormal_complete, sphere_rule, zonal_projector_factor
 
 __all__ = [
     "SIGMA_DK",
@@ -266,41 +266,6 @@ class TwistedFunction:
         A, Bt = zonal_projector_factor(self.alg.l, int(self.project_k), self.sphere_order)
         return A @ (Bt @ tw)
 
-    def to_json_dict(self):
-        """Specification (mode, exponents, domain, projection flags); the
-        radial/angular callables are named only."""
-        kind = self.mode[0]
-        domain = {"kind": kind}
-        if kind == "sphere":
-            R = self.mode[1]
-            domain["radius"] = "callable" if callable(R) else float(R)
-        elif kind == "lattice":
-            domain["lattice_point"] = np.asarray(self.mode[1]).tolist()
-        return {
-            "domain": domain,
-            "pole": None if self.Q is None else self.Q.tolist(),
-            "p": self.p,
-            "q": self.q,
-            "pole_list": None
-            if self.pole_list is None
-            else [[np.asarray(Qi).tolist(), pi, qi] for Qi, pi, qi in self.pole_list],
-            "project_x": self.project_x,
-            "project_k": self.project_k,
-            "radial": getattr(self.radial, "__name__", "callable"),
-            "angular": None if self.angular is None else getattr(self.angular, "__name__", "callable"),
-        }
-
-    def evaluation_grid_csv(self, X_points, Z_points):
-        """CSV rows (X, Z, Re, Im) over the product grid of the given points."""
-        lines = ["X,Z,Re,Im"]
-        for X in X_points:
-            for Z in Z_points:
-                v = self(X, Z)
-                xs = " ".join(format(float(c), ".17g") for c in np.atleast_1d(X))
-                zs = " ".join(format(float(c), ".17g") for c in np.atleast_1d(Z))
-                lines.append(f"{xs},{zs},{format(v.real, '.17g')},{format(v.imag, '.17g')}")
-        return "\n".join(lines) + "\n"
-
     def boundary_residual(self, X, bc="dirichlet", n_dir=24, h=1e-4, seed=0):
         """Max |value| (Dirichlet) or |radial Z-derivative| (Z-Neumann) at
         the Z-ball boundary |Z| = sqrt(lambda)-radius over sampled directions.
@@ -450,15 +415,9 @@ def adapted_complex_basis(alg, Z_u):
     rows = []
     taken = []
     for cand in np.eye(alg.k):
-        v = cand.copy()
-        for w in taken:
-            v -= (v @ w) * w
-        norm = np.linalg.norm(v)
-        if norm < 1e-8:
-            continue
-        v /= norm
-        rows.append(v)
-        taken.extend([v, J @ v])
+        for v in orthonormal_complete(taken, [cand]):
+            rows.append(v)
+            taken.extend([v, J @ v])
         if len(rows) == alg.k // 2:
             break
     return np.vstack(rows)

@@ -22,13 +22,11 @@ __all__ = [
     "solvable_split_residual",
     "time_reversed_table",
     "second_time_derivative_profile",
-    "time_reversal_residual",
     "solvable_apply",
     "zcrystal_wave_residual",
     "ShrinkingWave",
     "meson_phase_residual",
     "expanding_packet_residual",
-    "residual_grid_csv",
 ]
 
 ATOMS = ("id", "dT", "d2T", "lapZ", "lapX", "x2lapZ", "mix")
@@ -219,18 +217,6 @@ def nonrelativistic_link(K, constants):
     return identity, first_order_defect
 
 
-def time_reversal_residual(K, constants):
-    """Residual change of the first-order wave equation under t -> -t with
-    conjugation; zero because the equation is invariant."""
-    cc = constants
-    kk = np.linalg.norm(np.atleast_1d(np.asarray(K, dtype=float)))
-    omega_t = relativistic_dispersion(K, cc) - cc.m * cc.c**2 / cc.hbar
-    # coefficients of the equation on psi~ and on conj(psi~)(-t) agree
-    orig = -(kk**2) + 2.0 * cc.m * omega_t / cc.hbar + omega_t**2 / cc.c**2
-    reversed_ = -(kk**2) + 2.0 * cc.m * omega_t / cc.hbar + omega_t**2 / cc.c**2
-    return abs(orig - reversed_)
-
-
 # -- exact splitting identities ------------------------------------------------
 
 
@@ -409,13 +395,3 @@ def expanding_packet_residual(ext, kind, packet, constants=None, grid=None, h=1e
         val = apply_operator(op, packet, ext.base, X, Z, T, h=h)
         out.append(((X, Z, T), abs(val)))
     return out
-
-
-def residual_grid_csv(results):
-    """CSV rows (X, Z, T, residual) from expanding_packet_residual output."""
-    lines = ["X,Z,T,residual"]
-    for (X, Z, T), residual in results:
-        xs = " ".join(format(float(c), ".17g") for c in np.atleast_1d(X))
-        zs = " ".join(format(float(c), ".17g") for c in np.atleast_1d(Z))
-        lines.append(f"{xs},{zs},{format(float(T), '.17g')},{format(residual, '.17g')}")
-    return "\n".join(lines) + "\n"

