@@ -222,6 +222,21 @@ _KEYS = {
 
 _RANGES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0}
 
+_SECTIONS = {key.partition(".")[0] for key in _KEYS if "." in key}
+
+
+def _check_names(config):
+    """Reject every section and key that _KEYS does not name, so a
+    misspelled key is an error instead of a silent default."""
+    for name, value in config.items():
+        if name in _SECTIONS:
+            known = sorted(key.partition(".")[2] for key in _KEYS if key.startswith(name + "."))
+            for key in value:
+                if key not in known:
+                    raise ConfigError(f"unknown key {name}.{key}; [{name}] takes {', '.join(known)}")
+        elif name not in _KEYS:
+            raise ConfigError(f"unknown section or key {name!r}")
+
 
 def _setting(config, key, default=None):
     """The checked value of `key`, "section.name" or a top-level name.
@@ -379,7 +394,8 @@ def cmd_verify(config, opts):
     results = run_all(only=opts.only, seed=opts.seed, perturb=_setting(config, "perturb"))
     for suite, checks in results.items():
         for name, ok, detail in checks:
-            print(f"{'PASS' if ok else 'FAIL'}  [{suite}] {name}  ({detail:.3e})")
+            text = f"{detail:.3e}" if isinstance(detail, float) else detail
+            print(f"{'PASS' if ok else 'FAIL'}  [{suite}] {name}  ({text})")
     failed = sum(not ok for checks in results.values() for _, ok, _ in checks)
     payload = {
         "kind": "verify",
@@ -487,6 +503,7 @@ def main(argv=None):
         config = parse_config(opts.config) if opts.config else {}
         for key in _KEYS:  # every key present is checked before any computation
             _setting(config, key)
+        _check_names(config)  # after the loop, which checks that each section is a dict
         if opts.only and opts.only not in SUITES:
             raise ConfigError(f"unknown suite {opts.only!r}")
         return COMMANDS[opts.command](config, opts)

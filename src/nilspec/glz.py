@@ -14,6 +14,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import jv, roots_genlaguerre
 
+from .geometry import _central_difference
+
 __all__ = [
     "RadialGLZOperator",
     "SpectrumRecord",
@@ -71,7 +73,7 @@ class RadialGLZOperator:
         return {"k": self.k, "n": self.n, "m": self.m, "mu": mu}
 
 
-def radial_apply(op, f, t, df=None, d2f=None, h=1e-4):
+def radial_apply(op, f, t, df=None, d2f=None):
     """Apply the radial operator to f at t.
 
     Derivatives are taken from df/d2f when given (or from f.derivative /
@@ -82,8 +84,8 @@ def radial_apply(op, f, t, df=None, d2f=None, h=1e-4):
     if d2f is None and hasattr(f, "second_derivative"):
         d2f = f.second_derivative
     f0 = f(t)
-    d1 = df(t) if df is not None else (f(t + h) - f(t - h)) / (2 * h)
-    d2 = d2f(t) if d2f is not None else (f(t + h) - 2 * f0 + f(t - h)) / h**2
+    d1 = df(t) if df is not None else _central_difference(lambda s: f(t + s), 1)
+    d2 = d2f(t) if d2f is not None else _central_difference(lambda s: f(t + s), 2)
     a2, a1, a0 = op.coeffs(t)
     return a2 * d2 + a1 * d1 + a0 * f0
 

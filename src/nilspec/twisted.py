@@ -15,6 +15,7 @@ roles of p and q.
 
 import numpy as np
 
+from .geometry import _central_difference, _laplacian_x, _mixed_term, _z_second_order
 from .glz import zball_eigenvalues
 from .harmonics import (
     HomogeneousPolynomial,
@@ -105,7 +106,7 @@ def theta_projected(alg, Q, p, q, X, nodes):
     return out
 
 
-def dk_eigencheck(alg, Q, K, p=1, q=0, X=None, h=1e-5, rng=None):
+def dk_eigencheck(alg, Q, K, p=1, q=0, X=None, rng=None):
     """Eigenvalue of D_K applied to Theta_Q^p conj(Theta_Q)^q, with residual.
 
     D_K is the directional derivative along the field X -> J_K(X).  Returns
@@ -121,14 +122,15 @@ def dk_eigencheck(alg, Q, K, p=1, q=0, X=None, h=1e-5, rng=None):
     rng = rng or np.random.default_rng(11)
     pts = [np.asarray(X, dtype=float)] if X is not None else list(rng.standard_normal((4, alg.k)))
     JK = alg.J(K)
+
+    def twist(x):
+        th = theta_eval(alg, Q, x, K_u)
+        return th**p * np.conj(th) ** q
+
     worst = 0.0
     for x in pts:
-        fx = theta_eval(alg, Q, x, K_u) ** p * np.conj(theta_eval(alg, Q, x, K_u)) ** q
-        step = h * (JK @ x)
-        fp = theta_eval(alg, Q, x + step, K_u) ** p * np.conj(theta_eval(alg, Q, x + step, K_u)) ** q
-        fm = theta_eval(alg, Q, x - step, K_u) ** p * np.conj(theta_eval(alg, Q, x - step, K_u)) ** q
-        deriv = (fp - fm) / (2.0 * h)
-        worst = max(worst, abs(deriv - eig * fx))
+        deriv = _central_difference(lambda s: twist(x + s * (JK @ x)), 1)
+        worst = max(worst, abs(deriv - eig * twist(x)))
     return eig, worst
 
 
@@ -266,29 +268,32 @@ class TwistedFunction:
         A, Bt = zonal_projector_factor(self.alg.l, int(self.project_k), self.sphere_order)
         return A @ (Bt @ tw)
 
-    def boundary_residual(self, X, bc="dirichlet", n_dir=24, h=1e-4, seed=0):
+    def boundary_residual(self, X, bc="dirichlet", n_dir=24, seed=0):
         """Max |value| (Dirichlet) or |radial Z-derivative| (Z-Neumann) at
-        the Z-ball boundary |Z| = sqrt(lambda)-radius over sampled directions.
+        the Z-ball boundary |Z| = R_b over n_dir sampled directions d.
 
-        Only meaningful for sphere modes built by boundary_functions, where
-        the K-sphere radius equals sqrt(lambda_i^(s)(x^2)) and the boundary
-        radius R(x) is stored alongside (mode[2])."""
+        Only for sphere modes; meaningful for those built by
+        boundary_functions, where the K-sphere radius R equals
+        sqrt(lambda_i^(s)(x^2)) and the boundary radius R_b(x) is stored
+        alongside (mode[2]).  The value is the finite sum
+        sum_j c_j e^{i R <n_j, Z>} over the sphere-rule nodes n_j, so its
+        radial derivative is exact: each term gains i R <n_j, d>."""
+        if self.mode[0] != "sphere":
+            raise ValueError(f"boundary_residual needs a sphere mode, got {self.mode[0]!r}")
+        X = np.asarray(X, dtype=float)
+        x = np.linalg.norm(X)
+        R = self.mode[1]
         R_bound = self.mode[2] if len(self.mode) > 2 else 1.0
-        x = np.linalg.norm(np.asarray(X, dtype=float))
+        Rx = float(R(x)) if callable(R) else float(R)
         Rb = float(R_bound(x)) if callable(R_bound) else float(R_bound)
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(n_dir):
-            d = rng.standard_normal(self.alg.l)
-            d /= np.linalg.norm(d)
-            Zb = Rb * d
-            if str(bc).lower() == "dirichlet":
-                worst = max(worst, abs(self(X, Zb)))
-            else:
-                vp = self(X, (Rb + h) * d)
-                vm = self(X, (Rb - h) * d)
-                worst = max(worst, abs((vp - vm) / (2.0 * h)))
-        return worst
+        nodes, weights = sphere_rule(self.alg.l, self.sphere_order)
+        terms = weights * self._node_integrand(X, nodes) / weights.sum() * self.radial(x, Rx)
+        dirs = np.random.default_rng(seed).standard_normal((n_dir, self.alg.l))
+        cos = (dirs / np.linalg.norm(dirs, axis=1, keepdims=True)) @ nodes.T  # <d, n_j>
+        planes = np.exp(1j * Rx * Rb * cos)  # each term's plane wave at Z = R_b d
+        if str(bc).lower() != "dirichlet":
+            planes = 1j * Rx * cos * planes
+        return float(np.max(np.abs(planes @ terms), initial=0.0))
 
 
 # -- Z-crystal reduction ------------------------------------------------------
@@ -297,7 +302,7 @@ class TwistedFunction:
 def zcrystal_reduce(alg, Z_gamma):
     """Reduction of the group Laplacian on the lattice mode e^{2 pi i <Z_g, Z>}.
 
-    Returns (mu, apply) with mu = pi |Z_gamma| and apply(psi, X, h) the
+    Returns (mu, apply) with mu = pi |Z_gamma| and apply(psi, X) the
     reduced operator Delta_X psi + 2 pi i D_{Z_gamma} psi
     - 4 mu^2 (1 + x^2/4) psi evaluated by central differences.
     """
@@ -306,28 +311,17 @@ def zcrystal_reduce(alg, Z_gamma):
     mu = np.pi * zg
     JZg = alg.J(Z_gamma) if zg > 0 else np.zeros((alg.k, alg.k))
 
-    def apply(psi, X, h=1e-4):
-        return zcrystal_reduced_apply(alg, psi, X, Z_gamma, JZg, mu, h)
+    def apply(psi, X):
+        return zcrystal_reduced_apply(alg, psi, X, Z_gamma, JZg, mu)
 
     return mu, apply
 
 
-def zcrystal_reduced_apply(alg, psi, X, Z_gamma, JZg, mu, h=1e-4):
+def zcrystal_reduced_apply(alg, psi, X, Z_gamma, JZg, mu):
     X = np.asarray(X, dtype=float)
-    k = alg.k
-    f0 = psi(X)
-    lap = 0.0
-    for i in range(k):
-        e = np.zeros(k)
-        e[i] = h
-        lap += (psi(X + e) - 2.0 * f0 + psi(X - e)) / h**2
-    step = h * (JZg @ X)
-    if np.linalg.norm(step) > 0:
-        ddir = (psi(X + step) - psi(X - step)) / (2.0 * h)
-    else:
-        ddir = 0.0
-    x2 = X @ X
-    return lap + 2j * np.pi * ddir - 4.0 * mu**2 * (1.0 + 0.25 * x2) * f0
+    lap = _laplacian_x(lambda Xv, _: psi(Xv), X, None)
+    ddir = _central_difference(lambda s: psi(X + s * (JZg @ X)), 1)
+    return lap + 2j * np.pi * ddir - 4.0 * mu**2 * (1.0 + 0.25 * (X @ X)) * psi(X)
 
 
 # -- boundary-condition functions on Z-ball bundles ---------------------------
@@ -361,22 +355,13 @@ def boundary_functions(alg, s, i, bc, p, q, Q, R=1.0, radial=None, angular=None,
 # -- unpolarized operators applied numerically --------------------------------
 
 
-def m_operator_apply(alg, F, X, Z, h=1e-4):
-    """M = sum_a d/dz_a D_a applied to F(X, Z) by nested central differences."""
+def m_operator_apply(alg, F, X, Z):
+    """M = sum_a d/dz_a D_a applied to F(X, Z) by central differences."""
     X = np.asarray(X, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    total = 0.0 + 0.0j
-    for a in range(alg.l):
-        ez = np.zeros(alg.l)
-        ez[a] = h
-        dX = h * (alg.J_basis[a] @ X)
-        total += (
-            F(X + dX, Z + ez) - F(X + dX, Z - ez) - F(X - dX, Z + ez) + F(X - dX, Z - ez)
-        ) / (4.0 * h**2)
-    return total
+    return _mixed_term(F, X, np.asarray(Z, dtype=float), alg.J_basis @ X)
 
 
-def m_operator_eigencheck(alg, tf, X, Z, h=1e-3):
+def m_operator_eigencheck(alg, tf, X, Z):
     """(eigenvalue, residual) of M on a sphere-bundle twisted function.
 
     With the recorded sign convention the eigenvalue is
@@ -388,22 +373,13 @@ def m_operator_eigencheck(alg, tf, X, Z, h=1e-3):
     Rx = float(R(x)) if callable(R) else float(R)
     eig = SIGMA_DK * (tf.q - tf.p) * Rx
     val = tf(X, Z)
-    got = m_operator_apply(alg, tf, X, Z, h=h)
+    got = m_operator_apply(alg, tf, X, Z)
     return eig, abs(got - eig * val)
 
 
-def delta_z_apply(F, X, Z, l, h=1e-2):
-    """Z-Laplacian of F(X, Z) by fourth-order central differences."""
-    Z = np.asarray(Z, dtype=float)
-    f0 = F(X, Z)
-    out = 0.0 + 0.0j
-    for a in range(l):
-        e = np.zeros(l)
-        e[a] = h
-        out += (
-            -F(X, Z + 2 * e) + 16.0 * F(X, Z + e) - 30.0 * f0 + 16.0 * F(X, Z - e) - F(X, Z - 2 * e)
-        ) / (12.0 * h**2)
-    return out
+def delta_z_apply(F, X, Z, l):
+    """Z-Laplacian of F(X, Z) by central differences."""
+    return _z_second_order(F, X, np.asarray(Z, dtype=float), np.eye(l))
 
 
 # -- adapted complex bases and the rank oracle --------------------------------
@@ -578,7 +554,7 @@ class RouletteState:
         return self.functions[alpha]
 
 
-def roulette_one_turn(state, p, q, S, h=1e-5):
+def roulette_one_turn(state, p, q, S):
     """One turn of the roulette operator on a tuple of K-radial functions.
 
     output_alpha(x, kk) = -(p - q) i (kk f_alpha + d/dkk sum_beta
@@ -595,14 +571,11 @@ def roulette_one_turn(state, p, q, S, h=1e-5):
         def out(x, kk):
             findex = state.indices
             fa = state.functions[findex[alpha_pos]](x, kk)
-            mix_p = sum(
-                S[alpha_pos, bpos] * state.functions[findex[bpos]](x, kk + h) for bpos in range(n)
-            )
-            mix_m = sum(
-                S[alpha_pos, bpos] * state.functions[findex[bpos]](x, kk - h) for bpos in range(n)
-            )
-            dmix = (mix_p - mix_m) / (2.0 * h)
-            return pref * (kk * fa + dmix)
+
+            def mix(s):
+                return sum(S[alpha_pos, bpos] * state.functions[findex[bpos]](x, kk + s) for bpos in range(n))
+
+            return pref * (kk * fa + _central_difference(mix, 1))
 
         return out
 

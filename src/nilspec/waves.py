@@ -9,6 +9,8 @@ central differences otherwise.
 
 import numpy as np
 
+from .geometry import _central_difference, _laplacian_x, _mixed_term, _z_second_order
+
 __all__ = [
     "PhysicalConstants",
     "ATOMS",
@@ -116,51 +118,30 @@ def operator_atoms(kind, constants, k=None, l=None, q=1.0):
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
-def atom_apply(atom, f, alg, X, Z, T, h=1e-4):
+def atom_apply(atom, f, alg, X, Z, T):
     """One atom applied to f(X, Z, T) by central differences."""
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
     if atom == "id":
         return f(X, Z, T)
-    if atom == "dT":
-        return (f(X, Z, T + h) - f(X, Z, T - h)) / (2.0 * h)
-    if atom == "d2T":
-        return (f(X, Z, T + h) - 2.0 * f(X, Z, T) + f(X, Z, T - h)) / h**2
-    if atom == "lapZ" or atom == "x2lapZ":
-        out = 0.0 + 0.0j
-        f0 = f(X, Z, T)
-        for a in range(alg.l):
-            e = np.zeros(alg.l)
-            e[a] = h
-            out += (f(X, Z + e, T) - 2.0 * f0 + f(X, Z - e, T)) / h**2
-        if atom == "x2lapZ":
-            out *= X @ X
-        return out
+    if atom in ("dT", "d2T"):
+        return _central_difference(lambda s: f(X, Z, T + s), 1 if atom == "dT" else 2)
+
+    def f_T(Xv, Zv):
+        return f(Xv, Zv, T)
+
+    if atom == "lapZ":
+        return _z_second_order(f_T, X, Z, np.eye(alg.l))
+    if atom == "x2lapZ":
+        return (X @ X) * _z_second_order(f_T, X, Z, np.eye(alg.l))
     if atom == "lapX":
-        out = 0.0 + 0.0j
-        f0 = f(X, Z, T)
-        for i in range(alg.k):
-            e = np.zeros(alg.k)
-            e[i] = h
-            out += (f(X + e, Z, T) - 2.0 * f0 + f(X - e, Z, T)) / h**2
-        return out
+        return _laplacian_x(f_T, X, Z)
     if atom == "mix":
-        out = 0.0 + 0.0j
-        for a in range(alg.l):
-            ez = np.zeros(alg.l)
-            ez[a] = h
-            dX = h * (alg.J_basis[a] @ X)
-            out += (
-                f(X + dX, Z + ez, T)
-                - f(X + dX, Z - ez, T)
-                - f(X - dX, Z + ez, T)
-                + f(X - dX, Z - ez, T)
-            ) / (4.0 * h**2)
-        return out
+        return _mixed_term(f_T, X, Z, alg.J_basis @ X)
     raise ValueError(f"unknown atom {atom!r}")
 
 
-def apply_operator(op, f, alg, X, Z, T, h=1e-4):
+def apply_operator(op, f, alg, X, Z, T):
     """Apply an atom table to f at (X, Z, T).
 
     If f implements atom_response(atom, X, Z, T), exact responses are used
@@ -172,7 +153,7 @@ def apply_operator(op, f, alg, X, Z, T, h=1e-4):
         c = coeff(T)
         if c == 0:
             continue
-        val = f.atom_response(atom, X, Z, T) if exact else atom_apply(atom, f, alg, X, Z, T, h=h)
+        val = f.atom_response(atom, X, Z, T) if exact else atom_apply(atom, f, alg, X, Z, T)
         total += c * val
     return total
 
@@ -286,15 +267,15 @@ def second_time_derivative_profile(constants, k, l):
 # -- concrete wave applications -------------------------------------------------
 
 
-def solvable_apply(ext, kind, f, point, constants=None, h=1e-4):
+def solvable_apply(ext, kind, f, point, constants=None):
     """Apply a named expanding operator to f(X, Z, T) at the given point."""
     constants = constants or PhysicalConstants()
     op = operator_atoms(kind, constants, k=ext.k, l=ext.l, q=ext.q)
     X, Z, T = point
-    return apply_operator(op, f, ext.base, X, Z, T, h=h)
+    return apply_operator(op, f, ext.base, X, Z, T)
 
 
-def zcrystal_wave_residual(alg, K_tilde, p, q, r, constants=None, kind="schrodinger", X=None, Z=None, t=0.3, h=2e-4):
+def zcrystal_wave_residual(alg, K_tilde, p, q, r, constants=None, kind="schrodinger", X=None, Z=None, t=0.3):
     """Residual of the static (total) Schrodinger operator on the anti wave.
 
     psi~ = e^{i<Z, K~>} e^{i (hbar/2m) omega~ t} f_mu(x^2) Pi_X(Theta^p
@@ -330,7 +311,7 @@ def zcrystal_wave_residual(alg, K_tilde, p, q, r, constants=None, kind="schrodin
     X = rng.standard_normal(alg.k) * 0.6 if X is None else np.asarray(X, dtype=float)
     Z = rng.standard_normal(alg.l) * 0.5 if Z is None else np.asarray(Z, dtype=float)
     op = operator_atoms(kind, constants)
-    val = apply_operator(op, wave, alg, X, Z, t, h=h)
+    val = apply_operator(op, wave, alg, X, Z, t)
     scale = max(abs(wave(X, Z, t)), 1e-12)
     return abs(val) / scale
 
@@ -376,7 +357,7 @@ def meson_phase_residual(K, constants, T=0.0):
     return abs(np.exp(2.0 * T) * (omega**2 - kk**2))
 
 
-def expanding_packet_residual(ext, kind, packet, constants=None, grid=None, h=1e-4):
+def expanding_packet_residual(ext, kind, packet, constants=None, grid=None):
     """Residual field of a named operator on a packet over a (Z, T) grid.
 
     packet: a ShrinkingWave (exact responses) or any callable f(X, Z, T).
@@ -392,6 +373,6 @@ def expanding_packet_residual(ext, kind, packet, constants=None, grid=None, h=1e
     op = operator_atoms(kind, constants, k=ext.k, l=ext.l, q=ext.q)
     out = []
     for X, Z, T in grid:
-        val = apply_operator(op, packet, ext.base, X, Z, T, h=h)
+        val = apply_operator(op, packet, ext.base, X, Z, T)
         out.append(((X, Z, T), abs(val)))
     return out

@@ -310,7 +310,7 @@ def test_criterion_11_angular_momentum():
     m_eig, m_resid = m_operator_eigencheck(h3, tf, X0, Z0)
     ok = ok and abs(abs(m_eig) - 3.0) < 1e-12 and m_resid / abs(val) < 1e-5
     ok = ok and m_eig == SIGMA_DK * (tf.q - tf.p) * 3.0  # consistent sigma
-    dz = delta_z_apply(tf, X0, Z0, 3, h=5e-4)
+    dz = delta_z_apply(tf, X0, Z0, 3)
     ok = ok and abs(dz / val + 9.0) < 1e-5
     report(11, "angular momentum eigenvalues and sign convention", ok,
            f"(D_K resid {max(resid, resid2):.1e}, M resid {m_resid / abs(val):.1e})")

@@ -1,0 +1,34 @@
+import importlib
+import inspect
+import pkgutil
+
+import nilspec
+
+
+def _public_functions():
+    """(qualified name, function) for every function and class method that a
+    module's __all__ names."""
+    for info in pkgutil.iter_modules(nilspec.__path__):
+        module = importlib.import_module(f"nilspec.{info.name}")
+        for name in getattr(module, "__all__", []):
+            obj = getattr(module, name)
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)  # classmethod, staticmethod
+                    if inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_public_functions_found():
+    names = {name for name, _ in _public_functions()}
+    assert "nilspec.geometry.laplacian_apply" in names
+    assert "nilspec.twisted.TwistedFunction.boundary_residual" in names
+
+
+def test_no_public_step_size():
+    # finite differences take their step from one constant in geometry,
+    # never from the caller
+    offenders = [name for name, fn in _public_functions() if "h" in inspect.signature(fn).parameters]
+    assert offenders == []

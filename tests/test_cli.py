@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nilspec import cli
+from nilspec import cli, twisted
 from nilspec.cli import ConfigError, ResultCache, canonical_json, main, parse_config
 from nilspec.glz import SpectrumRecord
 
@@ -112,6 +112,21 @@ def test_bad_group_or_q_is_config_error(tmp_path, capsys, command, config):
     assert len(err.splitlines()) == 1 and err.startswith("config error:")
     assert "Traceback" not in err
     assert not out.exists() or not [p for p in out.rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("spectrum", {"group": {"l": 1}, "operator": {"mode": "explicit", "rmax": 0}}, "unknown key operator.rmax;"),
+    ("spectrum", {"group": {"l": 1}, "domian": {"N": 40}}, "unknown section or key 'domian'"),
+    ("waves", {"hbar": 1.0, "mass": 0.5}, "unknown section or key 'mass'"),
+])
+def test_unknown_config_name_is_config_error(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: " + message)
+    assert not out.exists()
 
 
 def test_parse_config_sections(tmp_path):
@@ -277,6 +292,17 @@ def test_verify_perturbed_fails(tmp_path):
     checks = {c["check"]: c["ok"] for c in json.loads((out / "verify.json").read_text())["results"]["harmonics"]}
     assert not checks["projection harmonicity"]
     assert not checks["decomposition round trip"]
+
+
+def test_verify_suite_that_raises_is_a_failed_check(tmp_path, monkeypatch, capsys):
+    # the flipped sign makes the pole reduction raise inside the isospec suite
+    monkeypatch.setattr(twisted, "SIGMA_DK", -1)
+    out = tmp_path / "out"
+    assert run_cli(["verify", "--only", "isospec", "--out", str(out)]) == 1
+    rows = json.loads((out / "verify.json").read_text())["results"]["isospec"]
+    assert [row["ok"] for row in rows] == [False]
+    assert rows[0]["detail"].startswith("RuntimeError: pole reduction misbehaved")
+    assert "FAIL  [isospec] isospec suite ran  (RuntimeError:" in capsys.readouterr().out
 
 
 def test_waves_command(tmp_path):

@@ -344,3 +344,62 @@ def test_hubble_scaling():
     assert hubble_scaling(ext, "X", 0.7, 0.0) == pytest.approx(0.7)
     with pytest.raises(ValueError):
         hubble_scaling(ext, "X", -1.0, 0.0)
+
+
+# -- the finite-difference kernel ---------------------------------------------
+
+
+@pytest.mark.parametrize("order, degree", [(1, 0), (1, 2), (1, 4), (2, 1), (2, 3), (2, 5)])
+def test_central_difference_exact_on_polynomials(order, degree):
+    P = np.polynomial.Polynomial(np.random.default_rng(degree).standard_normal(degree + 1))
+    for s0 in (-0.7, 0.0, 1.3):
+        got = geometry._central_difference(lambda s: P(s0 + s), order)
+        # rounding only: a few ulps of |P| near s0, divided by the step^order
+        scale = np.abs(P.coef).sum() * (1.0 + abs(s0)) ** degree
+        tol = 64 * np.finfo(float).eps * scale / geometry._STEP**order
+        assert abs(got - P.deriv(order)(s0)) < tol
+
+
+def test_laplacian_apply_non_htype_matches_symbolic():
+    sympy = pytest.importorskip("sympy")
+    su3 = from_representation(realify(su_generators(3)))
+    k, l = su3.k, su3.l
+    n = k + l
+    # a homogeneous cubic, a product of random linear forms in all k + l
+    # coordinates, near the origin: there |f| = O(|v|^3) stays below
+    # |Delta f| = O(|v|), so the rounding floor eps |f| / h^2 of the
+    # differences sits far below the tolerance
+    coef = np.random.default_rng(0).standard_normal((3, n))
+    point = np.random.default_rng(100).uniform(-0.2, 0.2, n)
+
+    def f(X, Z):
+        forms = coef @ np.concatenate([X, Z])
+        return forms[0] * forms[1] * forms[2]
+
+    v = sympy.symbols(f"v0:{n}")
+
+    def poly(expr):
+        return sympy.Poly(expr, *v, domain="RR")
+
+    forms = [poly(sum(float(c) * vi for c, vi in zip(row, v))) for row in coef]
+    f_sym = forms[0] * forms[1] * forms[2]
+    JX = [[poly(sum(float(J[i, j]) * v[j] for j in range(k))) for i in range(k)] for J in su3.J_basis]
+    # inverse metric: g^ij = delta_ij, g^ia = <J_a X, E_i>/2,
+    # g^ab = delta_ab + <J_a X, J_b X>/4
+    G = [[sum((JX[a][i] * JX[b][i] for i in range(k)), poly(0)) for b in range(l)] for a in range(l)]
+    ginv = [[poly(int(i == j)) for j in range(n)] for i in range(n)]
+    for a in range(l):
+        for i in range(k):
+            ginv[i][k + a] = ginv[k + a][i] = JX[a][i] * 0.5
+        for b in range(l):
+            ginv[k + a][k + b] += G[a][b] * 0.25
+    # det g = 1, so the Laplace-Beltrami operator is d_i (g^ij d_j f)
+    grad = [f_sym.diff(vj) for vj in v]
+    lap = sum(((ginv[i][j] * grad[j]).diff(v[i]) for i in range(n) for j in range(n)), poly(0))
+    ref = float(lap(*point))
+    got = laplacian_apply(su3, f, point[:k], point[k:])
+    assert abs(got - ref) < 1e-10 * max(1.0, abs(ref))
+    # the <J_a X, J_b X>/4 term is far above the tolerance, so an operator
+    # that drops it fails
+    term = sum((G[a][b] * grad[k + a].diff(v[k + b]) * 0.25 for a in range(l) for b in range(l)), poly(0))
+    assert abs(float(term(*point))) > 1e-6 * max(1.0, abs(ref))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nilspec import geometry
 from nilspec.algebra import complete_basis, htype_group
 from nilspec.harmonics import fourier_quadrature
 from nilspec.quadrature import sphere_rule, zonal_projector
@@ -153,7 +154,7 @@ def test_delta_z_eigenvalue():
     X0 = np.array([0.4, 0.1, -0.3, 0.2])
     Z0 = np.array([0.2, -0.1, 0.3])
     val = tf(X0, Z0)
-    got = delta_z_apply(tf, X0, Z0, 3, h=5e-4)
+    got = delta_z_apply(tf, X0, Z0, 3)
     assert abs(got / val + 9.0) < 1e-5
 
 
@@ -164,10 +165,10 @@ def test_mf_commutation_identities():
     X0 = np.array([0.3, -0.2, 0.1, 0.4])
     Z0 = np.array([0.1, 0.2, -0.3])
     val = tf(X0, Z0)
-    got_m = m_operator_apply(H3, tf, X0, Z0, h=1e-3)
+    got_m = m_operator_apply(H3, tf, X0, Z0)
     expect_m = SIGMA_DK * (0 - 1) * 2.0 * val
     assert abs(got_m - expect_m) / abs(val) < 1e-5
-    got_z = delta_z_apply(tf, X0, Z0, 3, h=5e-4)
+    got_z = delta_z_apply(tf, X0, Z0, 3)
     assert abs(got_z - (-4.0) * val) / abs(val) < 1e-5
 
 
@@ -290,6 +291,28 @@ def test_boundary_z_neumann():
     X0 = np.array([0.2, 0.1, -0.1, 0.3])
     assert abs(bf(X0, np.array([0.3, 0.2, 0.1]))) > 0.1
     assert bf.boundary_residual(X0, "neumann", n_dir=6) < 1e-6
+
+
+def test_boundary_residual_matches_pointwise_loop():
+    X0 = np.array([0.2, 0.1, -0.1, 0.3])
+    dirichlet = boundary_functions(H3, s=1, i=1, bc="dirichlet", p=1, q=0, Q=Q0, R=1.3, sphere_order=16)
+    neumann = boundary_functions(H3, s=0, i=2, bc="neumann", p=0, q=0, Q=Q0, R=1.3, sphere_order=16)
+    rng = np.random.default_rng(5)  # one direction per draw: the stream the method reads
+    dirs = [d / np.linalg.norm(d) for d in (rng.standard_normal(3) for _ in range(4))]
+    # the value of the Neumann function and the radial derivative of the
+    # Dirichlet one on |Z| = R_b, neither of which vanishes
+    value = max(abs(neumann(X0, 1.3 * d)) for d in dirs)
+    slope = max(abs(geometry._central_difference(lambda s: dirichlet(X0, (1.3 + s) * d), 1)) for d in dirs)
+    assert value > 0.1 and slope > 0.1
+    assert abs(neumann.boundary_residual(X0, "dirichlet", n_dir=4, seed=5) - value) < 1e-12 * value
+    assert abs(dirichlet.boundary_residual(X0, "neumann", n_dir=4, seed=5) - slope) < 1e-8 * slope
+
+
+@pytest.mark.parametrize("mode", [("full",), ("lattice", np.array([0.5, 0.0, 0.0]))])
+def test_boundary_residual_needs_sphere_mode(mode):
+    tf = TwistedFunction(H3, mode, Q=Q0, p=1, q=0)
+    with pytest.raises(ValueError, match="sphere mode"):
+        tf.boundary_residual(np.zeros(4), "neumann")
 
 
 # -- straight / twisted conversion ---------------------------------------------------
