@@ -1,7 +1,7 @@
 """The radial Ginsburg-Landau-Zeeman operator and its spectra.
 
 Explicit Laguerre spectrum on the full X-space, discretized
-Dirichlet/Neumann/Robin spectra on X-balls (Chebyshev collocation with a
+Dirichlet/Neumann/Robin spectra on X-balls (Chebyshev-Galerkin with a
 shooting cross-check), and Z-ball Bessel eigenvalues.
 """
 
@@ -232,22 +232,45 @@ _BASIS_CACHE_SIZE = 8
 def _galerkin_basis(N):
     """Read-only arrays of the order-N Galerkin basis on [-1, 1].
 
-    Returns (x, xf, cwf, E, G0): the Lobatto nodes, the refined
+    Returns (x, xf, cwf, Et, Gt): the Lobatto nodes, the refined
     Clenshaw-Curtis nodes and weights (2N + 8 intervals, exact for the
     product of two degree-N node functions and a polynomial weight of
-    degree up to 8),
-    the interpolation matrix E from x to xf and G0 = E @ D.  Chebyshev
-    nodes map affinely, so one basis serves every domain.
+    degree up to 8), and the node functions and their derivatives at xf,
+    one C-contiguous row per node function: Et is the transposed
+    interpolation matrix from x to xf and Gt = D^T Et.  Chebyshev nodes
+    map affinely, so one basis serves every domain.
     """
     x, D = chebyshev_diff(N)
     xf = chebyshev_nodes(2 * N + 8)
     cwf = clenshaw_curtis_weights(2 * N + 8)
-    # interpolate in ascending order, then store C-contiguous for the products
-    E = np.ascontiguousarray(_barycentric_interp(x[::-1], xf[::-1])[::-1, ::-1])
-    G0 = E @ D
-    for arr in (x, xf, cwf, E, G0):
+    # interpolate in ascending order, then store one row per node function
+    Et = np.ascontiguousarray(_barycentric_interp(x[::-1], xf[::-1])[::-1, ::-1].T)
+    Gt = D.T @ Et
+    for arr in (x, xf, cwf, Et, Gt):
         arr.flags.writeable = False
-    return x, xf, cwf, E, G0
+    return x, xf, cwf, Et, Gt
+
+
+def _gram(Xt, c):
+    """Lower triangle of Xt diag(c) Xt^T (upper triangle zero), by dsyrk.
+
+    The points where c > 0 and where c < 0 each go through one rank-k
+    update, c = c+ - c-; points with c = 0 drop out.
+    """
+    from scipy.linalg.blas import dsyrk
+
+    n = Xt.shape[0]
+    G = np.zeros((n, n), order="F")
+    for sign in (1.0, -1.0):
+        cols = np.flatnonzero(sign * c > 0)
+        # BLAS rejects a rank-0 update (leading dimension 0)
+        if cols.size:
+            # np.take keeps Y C-contiguous (Xt[:, cols] would not), so Y.T is
+            # Fortran-ordered and f2py hands it to BLAS without a copy
+            Y = np.take(Xt, cols, axis=1)
+            Y *= np.sqrt(sign * c[cols])
+            G = dsyrk(sign, Y.T, beta=1.0, c=G, trans=1, lower=1, overwrite_c=1)
+    return G
 
 
 def _weighted_radial_eig(N, P_fun, V_fun, w_fun, count, domain, boundary=None, first=0):
@@ -258,30 +281,30 @@ def _weighted_radial_eig(N, P_fun, V_fun, w_fun, count, domain, boundary=None, f
     `_galerkin_basis`, so the stiffness and mass integrals are
     quadrature-exact for the polynomial weights:
     A = -G^T diag(cw P) G - E^T diag(cw w V) E (+ boundary term),
-    B = E^T diag(cw w) E, with G = E @ D mapped to the domain.  Node
-    functions before `first` are dropped (Dirichlet at the right end, or
-    discarded ones); `boundary` = (j, coeff) adds coeff to A[j, j] in the
-    kept numbering.  Returns `count` eigenvalues closest to zero, descending.
+    B = E^T diag(cw w) E, with E = Et^T and G = Gt^T mapped to the domain.
+    Only the lower triangles of A and B are formed, each product by
+    `_gram`, which splits a weight that takes both signs (V for m < 0, or
+    a callable mu) into its positive and negative parts.  Node functions
+    before `first` are dropped (Dirichlet at the right end, or discarded
+    ones); `boundary` = (j, coeff) adds coeff to A[j, j] in the kept
+    numbering.  Returns `count` eigenvalues closest to zero, descending.
     """
     import scipy.linalg as sla
 
-    _, xf, cw, E, G0 = _galerkin_basis(N)
+    _, xf, cw, Et, Gt = _galerkin_basis(N)
     a, b = domain
     half = (b - a) / 2.0
     tf = (xf + 1.0) * half + a
     cwf = cw * half
-    E = E[:, first:]
-    G0 = G0[:, first:]
+    Et = Et[first:]
     wf = cwf * w_fun(tf)
-    # G = G0 / half: the chain-rule factor goes into the stiffness weights
-    A = (G0.T * (cwf * P_fun(tf) / -half**2)) @ G0
-    Vf = V_fun(tf)
-    if np.any(Vf):
-        A -= (E.T * (wf * Vf)) @ E
+    # G = Gt^T / half: the chain-rule factor goes into the stiffness weights
+    A = _gram(Gt[first:], cwf * P_fun(tf) / -half**2)
+    A -= _gram(Et, wf * V_fun(tf))
     if boundary is not None:
         j, coeff = boundary
         A[j, j] += coeff
-    B = (E.T * wf) @ E
+    B = _gram(Et, wf)
     # Jacobi scaling of the pencil: keeps the Cholesky of B robust when the
     # weight spans many orders of magnitude
     d = 1.0 / np.sqrt(np.diag(B))
@@ -289,9 +312,9 @@ def _weighted_radial_eig(N, P_fun, V_fun, w_fun, count, domain, boundary=None, f
         M *= d[:, None]
         M *= d
     try:
-        vals = sla.eigh(A, B, eigvals_only=True)
+        vals = sla.eigh(A, B, lower=True, eigvals_only=True)
     except np.linalg.LinAlgError as exc:
-        cond = np.linalg.cond(B)
+        cond = np.linalg.cond(B + np.tril(B, -1).T)
         raise RuntimeError(
             f"radial eigensolve failed; scaled mass matrix condition {cond:.3e}"
         ) from exc

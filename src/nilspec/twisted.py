@@ -312,12 +312,12 @@ def zcrystal_reduce(alg, Z_gamma):
     JZg = alg.J(Z_gamma) if zg > 0 else np.zeros((alg.k, alg.k))
 
     def apply(psi, X):
-        return zcrystal_reduced_apply(alg, psi, X, Z_gamma, JZg, mu)
+        return zcrystal_reduced_apply(psi, X, JZg, mu)
 
     return mu, apply
 
 
-def zcrystal_reduced_apply(alg, psi, X, Z_gamma, JZg, mu):
+def zcrystal_reduced_apply(psi, X, JZg, mu):
     X = np.asarray(X, dtype=float)
     lap = _laplacian_x(lambda Xv, _: psi(Xv), X, None)
     ddir = _central_difference(lambda s: psi(X + s * (JZg @ X)), 1)

@@ -8,6 +8,8 @@ from nilspec.glz import (
     RadialGLZOperator,
     _barycentric_interp,
     _galerkin_basis,
+    _gram,
+    chebyshev_diff,
     chebyshev_nodes,
     clenshaw_curtis_weights,
     compact_spectrum,
@@ -282,16 +284,146 @@ def test_barycentric_interp_reproduces_polynomials():
 
 
 def test_galerkin_basis_cached_read_only():
-    first = _galerkin_basis(40)
-    again = _galerkin_basis(40)
+    N = 40
+    first = _galerkin_basis(N)
+    again = _galerkin_basis(N)
     assert all(a is b for a, b in zip(first, again))
-    x, xf, cwf, E, G0 = first
+    x, xf, cwf, Et, Gt = first
     for arr in first:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
-    assert E.flags.c_contiguous and E.shape == (len(xf), len(x))
+    assert len(x) == N + 1 and len(xf) == 2 * N + 9
+    for arr in (Et, Gt):
+        assert arr.flags.c_contiguous and arr.shape == (N + 1, 2 * N + 9)
     assert abs(cwf.sum() - 2.0) < 1e-14
+
+
+def _gram_error(Xt, c):
+    """Worst relative error of _gram against the dense lower triangle."""
+    dense = np.tril(Xt @ np.diag(c) @ Xt.T)
+    got = _gram(Xt, c)
+    return np.abs(got - dense).max() / np.abs(dense).max()
+
+
+_GRAM_WEIGHTS = {
+    "positive": lambda c: np.abs(c),
+    "mixed": lambda c: c,
+    "negative": lambda c: -np.abs(c),
+}
+
+
+@pytest.mark.parametrize("sign", sorted(_GRAM_WEIGHTS))
+def test_gram_matches_dense_lower_triangle(sign):
+    rng = np.random.default_rng(16)
+    Xt = rng.standard_normal((9, 31))
+    c = _GRAM_WEIGHTS[sign](rng.standard_normal(31))
+    assert _gram_error(Xt, c) < 1e-13
+    assert not np.triu(_gram(Xt, c), 1).any()
+
+
+def test_gram_without_negative_part_fails(monkeypatch):
+    # negative control: a Gram product that drops the c- rank update
+    import scipy.linalg.blas
+
+    dsyrk = scipy.linalg.blas.dsyrk
+
+    def positive_only(alpha, a, **kw):
+        return kw["c"] if alpha < 0 else dsyrk(alpha, a, **kw)
+
+    monkeypatch.setattr(scipy.linalg.blas, "dsyrk", positive_only)
+    rng = np.random.default_rng(16)
+    Xt = rng.standard_normal((9, 31))
+    c = rng.standard_normal(31)
+    assert _gram_error(Xt, np.abs(c)) < 1e-13
+    for weight in (c, -np.abs(c)):
+        assert _gram_error(Xt, weight) > 1e-3
+
+
+def test_gram_hands_scaled_rows_to_blas_without_a_copy():
+    import tracemalloc
+
+    rng = np.random.default_rng(16)
+    Xt = rng.standard_normal((100, 801))
+    c = np.abs(rng.standard_normal(801))
+    tracemalloc.start()
+    try:
+        G = _gram(Xt, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the scaled rows and the result; a copy of the rows would add Xt.nbytes
+    assert peak < 1.25 * Xt.nbytes + G.nbytes
+
+
+def _dense_pencil(op, R, bc, N):
+    """The compact pencil (A, B) by dense products on the untransposed basis."""
+    x, D = chebyshev_diff(N)
+    xf = chebyshev_nodes(2 * N + 8)
+    cw = clenshaw_curtis_weights(2 * N + 8)
+    E = _barycentric_interp(x[::-1], xf[::-1])[::-1, ::-1]
+    G0 = E @ D
+    a = op.k // 2 + op.n - 1
+    half = R**2 / 2.0
+    tf = (xf + 1.0) * half
+    cwf = cw * half
+    P = 4.0 * tf ** (a + 1)
+    V = np.array([-op.coeffs(t)[2] for t in tf])
+    first = 1 if bc == "dirichlet" else 0
+    E, G0 = E[:, first:], G0[:, first:]
+    wf = cwf * tf**a
+    A = -(G0.T * (cwf * P / half**2)) @ G0 - (E.T * (wf * V)) @ E
+    if isinstance(bc, tuple):
+        A[0, 0] -= (bc[2] / bc[1]) * 4.0 * R ** (2 * a + 2)
+    B = (E.T * wf) @ E
+    d = 1.0 / np.sqrt(np.diag(B))
+    return A * np.outer(d, d), B * np.outer(d, d)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.7, "callable"])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", ("robin", 0.6, 0.8)])
+def test_compact_pencil_matches_dense_formula(monkeypatch, mu, bc):
+    N, R = 40, 1.7
+    if mu == "callable":
+        mu = lambda t: 0.7 + 0.2 * t  # noqa: E731
+    import scipy.linalg
+
+    seen = {}
+
+    def capture(A, B, **kw):
+        seen.update(A=A.copy(), B=B.copy(), kw=kw)
+        return np.zeros(A.shape[0])
+
+    monkeypatch.setattr(scipy.linalg, "eigh", capture)
+    op = RadialGLZOperator(4, 2, -2, mu)
+    compact_spectrum(op, R, bc, count=4, N=N)
+    A, B = seen["A"], seen["B"]
+    assert seen["kw"].get("lower") is True
+    # only the lower triangles are formed
+    assert not np.triu(A, 1).any() and not np.triu(B, 1).any()
+    A_ref, B_ref = _dense_pencil(op, R, bc, N)
+    for got, ref in ((A, A_ref), (B, B_ref)):
+        assert np.abs(got - np.tril(ref)).max() < 1e-13 * np.abs(ref).max()
+
+
+def test_eigensolve_failure_reports_symmetric_condition(monkeypatch):
+    import scipy.linalg
+
+    seen = {}
+
+    def failing(A, B, **kw):
+        seen["B"] = B.copy()
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", failing)
+    with pytest.raises(RuntimeError, match="condition") as info:
+        compact_spectrum(RadialGLZOperator(4, 1, 1, 0.7), 2.0, "neumann", count=4, N=40)
+    reported = float(str(info.value).rsplit(" ", 1)[1])
+    B = seen["B"]
+    symmetric = np.linalg.cond(B + np.tril(B, -1).T)
+    # the lower triangle alone has another condition number, so this can fail
+    assert f"{np.linalg.cond(B):.3e}" != f"{symmetric:.3e}"
+    assert f"{reported:.3e}" == f"{symmetric:.3e}"
 
 
 def test_compact_spectrum_callable_mu_matches_constant():
