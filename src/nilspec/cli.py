@@ -293,8 +293,12 @@ def _write(out_dir, name, text):
 
 
 def _compact(op, R, bc, count, N):
-    """compact_spectrum; a numerical failure when it breaks its min-max bound."""
-    rec = compact_spectrum(op, R, bc, count=count, N=N)
+    """compact_spectrum; a numerical failure, naming the stratum, when the
+    solve fails or breaks its min-max bound."""
+    try:
+        rec = compact_spectrum(op, R, bc, count=count, N=N)
+    except RuntimeError as exc:
+        raise RuntimeError(f"stratum (n={op.n}, m={op.m}, bc={bc}): {exc}") from exc
     vals = rec.values()
     bound = compact_upper_bound(op, bc)
     if vals.max() > bound + 1e-8 * max(1.0, np.abs(vals).max()):

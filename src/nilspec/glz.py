@@ -170,7 +170,7 @@ def scaled_eigenfunction(mu, r, n, k):
     return ScaledEigenfunction(mu, r, n, k)
 
 
-# -- Chebyshev collocation on [0, R^2] ---------------------------------------
+# -- Chebyshev-Galerkin discretization on [0, R^2] ---------------------------
 
 
 def chebyshev_nodes(N):
@@ -273,6 +273,49 @@ def _gram(Xt, c):
     return G
 
 
+# absolute bisection tolerance of dstebz: 2 * safmin makes each eigenvalue
+# converge to high relative accuracy (Kahan 1966), which the graded
+# tridiagonal of a Jacobi-scaled radial pencil needs near zero; abstol = 0
+# means eps * ||T|| instead and costs ~1e-6 at N = 800
+_BISECTION_ABSTOL = 2.0 * np.finfo(float).tiny
+
+
+def _top_eigenvalues(A, B, count):
+    """The min(count, n) largest eigenvalues of the pencil (A, B), descending.
+
+    Reads the lower triangles of A and B (B positive definite); A is
+    overwritten, B is kept.  Cholesky B = L L^T, reduction to the standard
+    problem L^-1 A L^-T, blocked tridiagonal reduction, then bisection for
+    the wanted eigenvalues only (Parlett, The Symmetric Eigenvalue Problem,
+    ch. 15).
+    """
+    from scipy.linalg import lapack
+
+    n = A.shape[0]
+    k = min(count, n)
+    L, info = lapack.dpotrf(B, lower=1)
+    if info > 0:
+        cond = np.linalg.cond(B + np.tril(B, -1).T)
+        raise RuntimeError(f"radial eigensolve failed; scaled mass matrix condition {cond:.3e}")
+    _check_lapack("dpotrf", info)
+    C, info = lapack.dsygst(A, L, itype=1, lower=1, overwrite_a=1)
+    _check_lapack("dsygst", info)
+    lwork, info = lapack.dsytrd_lwork(n, lower=1)
+    _check_lapack("dsytrd_lwork", info)
+    _, d, e, _, info = lapack.dsytrd(C, lower=1, lwork=int(lwork), overwrite_a=1)
+    _check_lapack("dsytrd", info)
+    if n == 1:  # scipy's dstebz wrapper rejects the empty off-diagonal
+        return d
+    m, w, _, _, info = lapack.dstebz(d, e, 2, 0.0, 0.0, n - k + 1, n, _BISECTION_ABSTOL, "E")
+    _check_lapack("dstebz", info)
+    return w[:m][::-1]
+
+
+def _check_lapack(name, info):
+    if info != 0:
+        raise RuntimeError(f"radial eigensolve failed; LAPACK {name} info {info}")
+
+
 def _weighted_radial_eig(N, P_fun, V_fun, w_fun, count, domain, boundary=None, first=0):
     """Eigenvalues of (1/w)(P f')' - V f by the symmetric Galerkin form.
 
@@ -287,10 +330,9 @@ def _weighted_radial_eig(N, P_fun, V_fun, w_fun, count, domain, boundary=None, f
     a callable mu) into its positive and negative parts.  Node functions
     before `first` are dropped (Dirichlet at the right end, or discarded
     ones); `boundary` = (j, coeff) adds coeff to A[j, j] in the kept
-    numbering.  Returns `count` eigenvalues closest to zero, descending.
+    numbering.  Returns the `count` largest eigenvalues, descending (fewer
+    when the kept basis is smaller), by `_top_eigenvalues`.
     """
-    import scipy.linalg as sla
-
     _, xf, cw, Et, Gt = _galerkin_basis(N)
     a, b = domain
     half = (b - a) / 2.0
@@ -311,15 +353,13 @@ def _weighted_radial_eig(N, P_fun, V_fun, w_fun, count, domain, boundary=None, f
     for M in (A, B):
         M *= d[:, None]
         M *= d
-    try:
-        vals = sla.eigh(A, B, lower=True, eigvals_only=True)
-    except np.linalg.LinAlgError as exc:
-        cond = np.linalg.cond(B + np.tril(B, -1).T)
-        raise RuntimeError(
-            f"radial eigensolve failed; scaled mass matrix condition {cond:.3e}"
-        ) from exc
-    vals = np.sort(vals)[::-1]
-    return vals[:count]
+    return _top_eigenvalues(A, B, count)
+
+
+def _require_count(vals, count, N):
+    """Raise when the grid gave fewer than `count` eigenvalues."""
+    if len(vals) < count:
+        raise RuntimeError(f"only {len(vals)} of {count} eigenvalues at N={N}; increase N")
 
 
 def compact_spectrum(op, R, bc="dirichlet", count=8, N=400):
@@ -332,7 +372,8 @@ def compact_spectrum(op, R, bc="dirichlet", count=8, N=400):
     natural) or ("robin", A, B) for A f' + B f = 0 with A^2 + B^2 = 1;
     t = 0 needs no condition (the weighted flux vanishes, selecting the
     regular branch).  Returns a SpectrumRecord ordered by closeness to
-    zero (the sequence 0 >= nu_1 > nu_2 > ... -> -inf).
+    zero (the sequence 0 >= nu_1 > nu_2 > ... -> -inf).  Raises
+    RuntimeError when the grid has fewer than `count` eigenvalues.
     """
     if R <= 0 or count < 1:
         raise ValueError("need R > 0 and count >= 1")
@@ -376,6 +417,7 @@ def compact_spectrum(op, R, bc="dirichlet", count=8, N=400):
     eigs = _weighted_radial_eig(
         N, P_fun, V_fun, w_fun, count, (0.0, R**2), boundary=boundary, first=first
     )
+    _require_count(eigs, count, N)
     mu = None if callable(op.mu) else float(op.mu)
     entries = [
         {"value": float(v), "multiplicity": 1, "indices": {"r": i, "n": op.n, "m": op.m}}
@@ -409,7 +451,7 @@ def compact_upper_bound(op, bc="dirichlet"):
 
 
 def fullspace_spectrum(op, T=60.0, N=400, count=8):
-    """Lowest full-space (L^2) eigenvalues by weighted collocation on [0, T].
+    """Lowest full-space (L^2) eigenvalues by the weighted Galerkin form on [0, T].
 
     Works in the scaled radial variable s = mu * x^2 (the variable of the
     operator's second displayed form): substituting f = e^{-s/2} g(s)
@@ -418,10 +460,11 @@ def fullspace_spectrum(op, T=60.0, N=400, count=8):
     [0, T] by the same measure-weighted symmetrization as the compact
     solver.  The L^2 eigenfunctions are polynomials, represented exactly
     on the Chebyshev grid; the truncation drops an e^{-T} tail uniformly
-    in mu.  Constant mu only.
+    in mu.  Constant mu only.  Raises RuntimeError when fewer than `count`
+    eigenvalues remain.
     """
     if callable(op.mu):
-        raise ValueError("full-space collocation needs a constant mu")
+        raise ValueError("the full-space Galerkin solve needs a constant mu")
     mu = float(op.mu)
     alpha = op.k // 2 + op.n - 1
     const = (4.0 * op.p + op.k) * mu + 4.0 * mu**2
@@ -443,8 +486,8 @@ def fullspace_spectrum(op, T=60.0, N=400, count=8):
     lam = _weighted_radial_eig(N, P_fun, V_fun, w_fun, count + 4, (0.0, T), first=first)
     # the scaled operator is negative semidefinite; spurious near-null-mass
     # modes of the truncated pencil land at positive values and are dropped
-    lam = np.asarray(lam)
     lam = lam[lam < 1e-8][:count]
+    _require_count(lam, count, N)
     eigs = mu * lam - const
     entries = [
         {"value": float(v), "multiplicity": 1, "indices": {"r": i, "n": op.n, "m": op.m}}

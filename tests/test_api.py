@@ -32,3 +32,29 @@ def test_no_public_step_size():
     # never from the caller
     offenders = [name for name, fn in _public_functions() if "h" in inspect.signature(fn).parameters]
     assert offenders == []
+
+
+def test_benchmark_tracer_installs_on_the_program():
+    # a traced benchmark run wraps every name in __all__, verify.SUITES,
+    # cli.COMMANDS and a list of methods; one missing name aborts the run
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+
+    from nilspec import glz
+
+    tracer = spans.Tracer()
+    original = glz.compact_spectrum
+    uninstall = spans.install(tracer)
+    try:
+        glz.compact_spectrum(glz.RadialGLZOperator(4, 0, 0, 0.5), 1.0, "dirichlet", count=3, N=24)
+    finally:
+        uninstall()
+    assert glz.compact_spectrum is original
+    names = [span[0] for span in tracer.spans]
+    assert "glz.compact_spectrum" in names
+    assert all(span[5] for span in tracer.spans)

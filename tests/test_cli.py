@@ -260,6 +260,29 @@ def test_spectrum_above_minmax_bound_is_numerical_failure(tmp_path, monkeypatch)
     assert run_cli(["isospec", "--config", str(cfg), "--out", str(tmp_path / "i")]) == 3
 
 
+def test_default_isospec_names_the_failing_stratum(tmp_path, capsys):
+    # the default pair reaches the (n=2, m=-2) Dirichlet stratum, whose
+    # scaled mass matrix is numerically singular
+    assert run_cli(["isospec", "--out", str(tmp_path / "i")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: stratum (n=2, m=-2, bc=dirichlet): radial eigensolve failed")
+    assert not (tmp_path / "i" / "isospec.json").exists()
+
+
+@pytest.mark.parametrize("operator, domain, message", [
+    ({"mode": "compact", "mu": 1.0, "strata": [[0, 0]]}, {"R2": 9.0, "bc": "dirichlet", "count": 50, "N": 30},
+     "stratum (n=0, m=0, bc=dirichlet): only 30 of 50 eigenvalues at N=30"),
+    ({"mode": "fullspace", "mu": 1.0, "n": 0}, {"count": 5, "N": 2}, "of 5 eigenvalues at N=2"),
+])
+def test_too_few_eigenvalues_is_numerical_failure(tmp_path, capsys, operator, domain, message):
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({"group": {"l": 1, "a": 1, "b": 0}, "operator": operator, "domain": domain}))
+    out = tmp_path / "s"
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not (out / "spectrum.json").exists()
+
+
 def test_curvature_command(tmp_path):
     cfg = tmp_path / "g.cfg"
     cfg.write_text("[group]\nl = 3\na = 1\nb = 0\n")

@@ -4,11 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from nilspec import glz
 from nilspec.glz import (
     RadialGLZOperator,
     _barycentric_interp,
     _galerkin_basis,
     _gram,
+    _top_eigenvalues,
     chebyshev_diff,
     chebyshev_nodes,
     clenshaw_curtis_weights,
@@ -386,19 +388,17 @@ def test_compact_pencil_matches_dense_formula(monkeypatch, mu, bc):
     N, R = 40, 1.7
     if mu == "callable":
         mu = lambda t: 0.7 + 0.2 * t  # noqa: E731
-    import scipy.linalg
-
     seen = {}
 
-    def capture(A, B, **kw):
-        seen.update(A=A.copy(), B=B.copy(), kw=kw)
-        return np.zeros(A.shape[0])
+    def capture(A, B, count):
+        seen.update(A=A.copy(order="F"), B=B.copy(order="F"), count=count)
+        return _top_eigenvalues(A, B, count)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", capture)
+    monkeypatch.setattr(glz, "_top_eigenvalues", capture)
     op = RadialGLZOperator(4, 2, -2, mu)
     compact_spectrum(op, R, bc, count=4, N=N)
     A, B = seen["A"], seen["B"]
-    assert seen["kw"].get("lower") is True
+    assert seen["count"] == 4
     # only the lower triangles are formed
     assert not np.triu(A, 1).any() and not np.triu(B, 1).any()
     A_ref, B_ref = _dense_pencil(op, R, bc, N)
@@ -406,24 +406,79 @@ def test_compact_pencil_matches_dense_formula(monkeypatch, mu, bc):
         assert np.abs(got - np.tril(ref)).max() < 1e-13 * np.abs(ref).max()
 
 
-def test_eigensolve_failure_reports_symmetric_condition(monkeypatch):
+def _definite_pencil(rng, n):
+    """Lower triangles of a random symmetric A and a positive definite B, Fortran order."""
+    X = rng.standard_normal((n, n))
+    A = X + X.T
+    Y = rng.standard_normal((n, 2 * n))
+    B = Y @ Y.T / n + 0.1 * np.eye(n)
+    return np.asfortranarray(np.tril(A)), np.asfortranarray(np.tril(B)), A, B
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (7, 3), (60, 9), (60, 60), (5, 8)])
+def test_top_eigenvalues_match_dense_eigh(n, count):
     import scipy.linalg
 
-    seen = {}
+    rng = np.random.default_rng(n + count)
+    A_low, B_low, A, B = _definite_pencil(rng, n)
+    B_kept = B_low.copy()
+    got = _top_eigenvalues(A_low, B_low, count)
+    ref = np.sort(scipy.linalg.eigh(A, B, eigvals_only=True))[::-1][:count]
+    assert got.shape == (min(count, n),)
+    assert np.all(np.diff(got) <= 0)
+    assert np.abs(got - ref).max() < 1e-11 * max(1.0, np.abs(ref).max())
+    assert np.array_equal(B_low, B_kept)
 
-    def failing(A, B, **kw):
-        seen["B"] = B.copy()
-        raise np.linalg.LinAlgError("not positive definite")
 
-    monkeypatch.setattr(scipy.linalg, "eigh", failing)
+def test_top_eigenvalues_reports_symmetric_condition():
+    rng = np.random.default_rng(7)
+    A_low, _, _, _ = _definite_pencil(rng, 12)
+    Y = rng.standard_normal((12, 12))
+    # indefinite symmetric B; only its lower triangle is passed
+    B = np.asfortranarray(np.tril(Y + Y.T))
+    B_kept = B.copy()
     with pytest.raises(RuntimeError, match="condition") as info:
-        compact_spectrum(RadialGLZOperator(4, 1, 1, 0.7), 2.0, "neumann", count=4, N=40)
+        _top_eigenvalues(A_low, B, 4)
     reported = float(str(info.value).rsplit(" ", 1)[1])
-    B = seen["B"]
     symmetric = np.linalg.cond(B + np.tril(B, -1).T)
     # the lower triangle alone has another condition number, so this can fail
     assert f"{np.linalg.cond(B):.3e}" != f"{symmetric:.3e}"
     assert f"{reported:.3e}" == f"{symmetric:.3e}"
+    assert np.array_equal(B, B_kept)
+
+
+def test_eigensolve_failure_reports_symmetric_condition():
+    # the (k=8, n=2, m=-2) Dirichlet stratum of the default isospec: its
+    # scaled mass matrix is numerically singular
+    with pytest.raises(RuntimeError, match="scaled mass matrix condition"):
+        compact_spectrum(RadialGLZOperator(8, 2, -2, 1.0), 4.0, "dirichlet", count=5, N=220)
+
+
+def _neumann_bessel_error():
+    """Worst error of the k = 4, n = 0, mu = 0 Neumann spectrum at N = 800, R = 2
+    against the Bessel values 0, -(j_{2,i}/R)^2, relative to max(1, |value|)."""
+    R, count = 2.0, 4
+    got = compact_spectrum(RadialGLZOperator(4, 0, 0, 0.0), R, "neumann", count=count, N=800).values()
+    ref = np.array([0.0] + [-float((mpmath.besseljzero(2, i) / R) ** 2) for i in range(1, count)])
+    return np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))
+
+
+def test_bisection_tolerance_keeps_relative_accuracy(monkeypatch):
+    assert _neumann_bessel_error() < 1e-7
+    # negative control: abstol = 0 means eps * ||T||, too coarse near zero
+    monkeypatch.setattr(glz, "_BISECTION_ABSTOL", 0.0)
+    assert _neumann_bessel_error() > 1e-7
+
+
+def test_too_few_eigenvalues_raise():
+    op = RadialGLZOperator(4, 1, 1, 0.7)
+    with pytest.raises(RuntimeError, match="only 30 of 50 eigenvalues at N=30"):
+        compact_spectrum(op, 2.0, "dirichlet", count=50, N=30)
+    with pytest.raises(RuntimeError, match="of 5 eigenvalues at N=2"):
+        fullspace_spectrum(op, N=2, count=5)
+    # the same grids give every value asked for
+    assert len(compact_spectrum(op, 2.0, "dirichlet", count=30, N=30).values()) == 30
+    assert len(fullspace_spectrum(op, N=30, count=5).values()) == 5
 
 
 def test_compact_spectrum_callable_mu_matches_constant():
