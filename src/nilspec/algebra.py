@@ -18,7 +18,6 @@ __all__ = [
     "htype_group",
     "from_representation",
     "frame_matrix",
-    "near_singular",
     "charger",
     "volumer",
     "complete_basis",
@@ -27,8 +26,6 @@ __all__ = [
     "su_generators",
     "realify",
 ]
-
-SINGULAR_DET_THRESHOLD = 1e-10
 
 
 @dataclass
@@ -174,11 +171,6 @@ def frame_matrix(alg, B, Q, Z_u):
     B_real = np.vstack([B, B @ J.T])
     A = B_real @ Q.T
     return A, float(np.linalg.det(A))
-
-
-def near_singular(det, threshold=SINGULAR_DET_THRESHOLD):
-    """Flag for frame determinants inside the near-singular band."""
-    return abs(det) < threshold
 
 
 def charger(A):

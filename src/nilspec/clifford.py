@@ -15,7 +15,6 @@ __all__ = [
     "EndomorphismSpace",
     "irreducible_dimension",
     "build_generators",
-    "build_J",
     "endomorphism_space",
 ]
 
@@ -257,14 +256,6 @@ def _block_diag_signed(block, signs):
     return out
 
 
-def build_J(space, Z):
-    """J_Z for an endomorphism space; dimension-checked convenience wrapper."""
-    Z = np.asarray(Z, dtype=float)
-    if Z.shape != (space.l,):
-        raise ValueError(f"Z must have length {space.l}")
-    return space.J(Z)
-
-
-def endomorphism_space(l, a, b, size_cap=DEFAULT_SIZE_CAP):
+def endomorphism_space(l, a, b):
     """Build H-type endomorphism data J_l^(a,b) from scratch."""
-    return EndomorphismSpace(a=a, b=b, module=build_generators(l, size_cap=size_cap))
+    return EndomorphismSpace(a=a, b=b, module=build_generators(l))

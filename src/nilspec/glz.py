@@ -28,7 +28,6 @@ __all__ = [
     "compact_upper_bound",
     "fullspace_spectrum",
     "clenshaw_curtis_weights",
-    "explicit_spectrum",
     "zball_eigenvalues",
     "exterior_operator_eigenvalue",
     "chebyshev_nodes",
@@ -114,14 +113,13 @@ def laguerre_eigenfunction(r, n, k):
     return coeff
 
 
-def laguerre_operator_apply(coeff, alpha, as_fraction=True):
+def laguerre_operator_apply(coeff, alpha):
     """Lambda_alpha(u) = t u'' + (alpha + 1 - t) u' for polynomial coefficients.
 
-    coeff[i] multiplies t^i; returns the coefficient list of the image.
+    coeff[i] multiplies t^i; returns the coefficient list of the image, in
+    exact rationals for rational input.
     """
-    deg = len(coeff) - 1
-    zero = Fraction(0) if as_fraction else 0.0
-    out = [zero] * (deg + 1)
+    out = [Fraction(0)] * len(coeff)
     for i, c in enumerate(coeff):
         if i >= 1:
             # t * i(i-1) t^{i-2} + (alpha+1) i t^{i-1}
@@ -539,43 +537,22 @@ def shooting_eigenvalue(op, R, bc="dirichlet", near=None, span=8.0):
     raise RuntimeError("no sign change near the requested eigenvalue")
 
 
-def explicit_spectrum(mu, k, r_max, p_max, n_of_p=None):
-    """SpectrumRecord of full-space eigenvalues for r <= r_max, p <= p_max."""
-    entries = []
-    for r in range(r_max + 1):
-        for p in range(p_max + 1):
-            n = n_of_p(p) if n_of_p else p
-            m = 2 * p - n
-            entries.append(
-                {
-                    "value": explicit_eigenvalue(mu, r, p, k),
-                    "multiplicity": 1,
-                    "indices": {"r": r, "n": n, "m": m},
-                }
-            )
-    entries.sort(key=lambda e: -e["value"])
-    return SpectrumRecord(
-        eigenvalues=entries,
-        bc="none",
-        provenance="explicit",
-        operator={"k": k, "mu": mu},
-        domain={"R": None},
-    )
-
-
 # -- Z-ball Bessel eigenvalues ------------------------------------------------
 
 
-def _bracketed_roots(fun, x_hi, count, x_lo=1e-6, step=0.05):
+_BRACKET_STEP = 0.05  # scan step of the root bracketing in zball_eigenvalues
+
+
+def _bracketed_roots(fun, x_hi, count, x_lo=1e-6):
     roots = []
     prev_x, prev_v = x_lo, fun(x_lo)
-    x = x_lo + step
+    x = x_lo + _BRACKET_STEP
     while len(roots) < count and x < x_hi:
         v = fun(x)
         if np.isfinite(v) and np.isfinite(prev_v) and np.sign(v) != np.sign(prev_v):
             roots.append(brentq(fun, prev_x, x, xtol=1e-13, rtol=1e-14))
         prev_x, prev_v = x, v
-        x += step
+        x += _BRACKET_STEP
     if len(roots) < count:
         raise RuntimeError(f"found only {len(roots)} roots below {x_hi}")
     return roots

@@ -22,7 +22,6 @@ __all__ = [
     "harmonic_projection",
     "harmonic_decomposition",
     "projection_coefficients",
-    "dimension_free_projection_recursion",
     "HankelSpec",
     "hankel_transform",
     "hankel_transform_slice",
@@ -210,8 +209,8 @@ class HomogeneousPolynomial:
             return 0.0
         return max(abs(c) for c in self.coeffs.values())
 
-    def is_zero(self, tol=0.0):
-        return self.max_coeff() <= tol
+    def is_zero(self):
+        return self.max_coeff() == 0.0
 
     def to_json_dict(self):
         return {
@@ -234,19 +233,6 @@ def projection_coefficients(d, n):
     cs = [1.0]
     for s in range(n // 2):
         cs.append(-cs[-1] / (2.0 * (s + 1) * (2 * n - 2 * s + d - 4)))
-    return cs
-
-
-def dimension_free_projection_recursion(n, smax):
-    """The recursion 2s(2(s+n)-1) C_s + C_{s-1} = 0, for diagnostics.
-
-    It carries no ambient-dimension dependence and agrees with the
-    harmonicity-forced coefficients only at particular dimensions
-    (d = 4s + 1 at order s).
-    """
-    cs = [1.0]
-    for s in range(1, smax + 1):
-        cs.append(-cs[-1] / (2.0 * s * (2 * (s + n) - 1)))
     return cs
 
 
@@ -285,32 +271,36 @@ def harmonic_decomposition(P):
 
 # -- Hankel transform --------------------------------------------------------
 
+HANKEL_TOL = 1e-10  # absolute tolerance of the Bessel-path quadrature
+RADIAL_MAX = 12.0  # radial cutoff of the slice and polar rules (Gaussian-class profiles)
+SLICE_NODES = 220  # Gauss-Legendre nodes per axis of the Fubini slice rule
+POLAR_NODES = 160  # radial Gauss-Legendre nodes of the polar Fourier rule
+SPHERE_ORDER = 24  # sphere-rule order of the polar Fourier rule and the spherical mean
+
 
 class HankelSpec:
     """Transform order data: ambient dimension l >= 2 and harmonic order nu."""
 
-    def __init__(self, l, nu, radial=None):
+    def __init__(self, l, nu):
         if l < 2 or nu < 0:
             raise ValueError("need l >= 2 and nu >= 0")
         self.l = int(l)
         self.nu = int(nu)
-        self.radial = radial
 
 
-def hankel_transform(spec, r, radial=None, rmax=np.inf, tol=1e-10):
+def hankel_transform(spec, r, radial):
     """H^(l)_nu of a radial profile, Bessel-kernel path.
 
     Defined so the l-dimensional Fourier transform (kernel e^{i<Z,K>}) of
-    f(|K|) F(theta_K), F a degree-nu spherical harmonic, equals
-    H^(l)_nu(f)(|Z|) F(theta_Z):
+    radial(|K|) F(theta_K), F a degree-nu spherical harmonic, equals
+    H^(l)_nu(radial)(|Z|) F(theta_Z):
 
         H(r) = (2 pi)^{l/2} i^nu r^{1-l/2}
-               * integral_0^inf f(k) J_{nu+l/2-1}(k r) k^{l/2} dk.
+               * integral_0^inf radial(k) J_{nu+l/2-1}(k r) k^{l/2} dk.
 
     The profile must decay fast enough for absolute convergence
-    (Gaussian-class by default).
+    (Gaussian-class).
     """
-    f = radial if radial is not None else spec.radial
     l, nu = spec.l, spec.nu
     order = nu + l / 2.0 - 1.0
     if r < 0:
@@ -318,26 +308,26 @@ def hankel_transform(spec, r, radial=None, rmax=np.inf, tol=1e-10):
     if r == 0.0:
         if nu > 0:
             return 0.0
-        val, err = quad(lambda k: np.real(f(k)) * k ** (l - 1), 0, rmax, epsabs=tol)
-        vali, erri = quad(lambda k: np.imag(f(k)) * k ** (l - 1), 0, rmax, epsabs=tol)
+        val, err = quad(lambda k: np.real(radial(k)) * k ** (l - 1), 0, np.inf, epsabs=HANKEL_TOL)
+        vali, erri = quad(lambda k: np.imag(radial(k)) * k ** (l - 1), 0, np.inf, epsabs=HANKEL_TOL)
         const = (2.0 * np.pi) ** (l / 2.0) / (2.0 ** (l / 2.0 - 1.0) * gamma(l / 2.0))
         return const * (val + 1j * vali)
 
     def kernel_re(k):
-        return np.real(f(k)) * jv(order, k * r) * k ** (l / 2.0)
+        return np.real(radial(k)) * jv(order, k * r) * k ** (l / 2.0)
 
     def kernel_im(k):
-        return np.imag(f(k)) * jv(order, k * r) * k ** (l / 2.0)
+        return np.imag(radial(k)) * jv(order, k * r) * k ** (l / 2.0)
 
-    val, err = quad(kernel_re, 0, rmax, epsabs=tol, limit=400)
-    vali, erri = quad(kernel_im, 0, rmax, epsabs=tol, limit=400)
+    val, err = quad(kernel_re, 0, np.inf, epsabs=HANKEL_TOL, limit=400)
+    vali, erri = quad(kernel_im, 0, np.inf, epsabs=HANKEL_TOL, limit=400)
     if max(err, erri) > 1e-6:
         raise RuntimeError(f"hankel quadrature did not converge (error {max(err, erri):.2e})")
     front = (2.0 * np.pi) ** (l / 2.0) * (1j**nu) * r ** (1.0 - l / 2.0)
     return front * (val + 1j * vali)
 
 
-def hankel_transform_slice(spec, r, radial=None, tmax=12.0, n=220):
+def hankel_transform_slice(spec, r, radial):
     """H^(l)_nu by the Fubini slicing through hyperplanes meeting the Z-axis.
 
     For each axis position t the hyperplane integral is folded with the
@@ -346,28 +336,27 @@ def hankel_transform_slice(spec, r, radial=None, tmax=12.0, n=220):
     Euclidean radius sqrt(t^2 + tau^2) of the slice point.  Cross-checks
     the Bessel path.
     """
-    f = radial if radial is not None else spec.radial
     l, nu = spec.l, spec.nu
-    t, wt = gauss_legendre(n, 0.0, tmax)
-    tau, wtau = gauss_legendre(n, 0.0, tmax)
+    t, wt = gauss_legendre(SLICE_NODES, 0.0, RADIAL_MAX)
+    tau, wtau = gauss_legendre(SLICE_NODES, 0.0, RADIAL_MAX)
     T, TAU = np.meshgrid(t, tau, indexing="ij")
     W = np.outer(wt, wtau)
     rho = np.arctan2(TAU, T)
-    vals = f(np.sqrt(T**2 + TAU**2)) * zonal_eigenfunction(l, nu, rho) * TAU ** (l - 2)
+    vals = radial(np.sqrt(T**2 + TAU**2)) * zonal_eigenfunction(l, nu, rho) * TAU ** (l - 2)
     phase = np.exp(1j * r * T) + (-1.0) ** nu * np.exp(-1j * r * T)
     omega = sphere_area(l - 1)
     return omega * np.sum(W * vals * phase)
 
 
-def fourier_quadrature(l, func, Z, radial_max=12.0, radial_n=160, sphere_order=24):
+def fourier_quadrature(l, func, Z):
     """Direct l-dimensional Fourier integral of func(K) at Z, in polar form.
 
     Oracle for the Hankel paths: integral of e^{i<Z,K>} func(K) dK with a
     Gauss-Legendre radial rule times a sphere rule.
     """
     Z = np.asarray(Z, dtype=float)
-    nodes, weights = sphere_rule(l, sphere_order)
-    k, wk = gauss_legendre(radial_n, 0.0, radial_max)
+    nodes, weights = sphere_rule(l, SPHERE_ORDER)
+    k, wk = gauss_legendre(POLAR_NODES, 0.0, RADIAL_MAX)
     total = 0.0 + 0.0j
     for ki, wi in zip(k, wk):
         pts = ki * nodes
@@ -375,7 +364,7 @@ def fourier_quadrature(l, func, Z, radial_max=12.0, radial_n=160, sphere_order=2
     return total
 
 
-def spherical_mean(l, F, theta, rho, order=24):
+def spherical_mean(l, F, theta, rho):
     """Average of F over the sphere of spherical radius rho around theta.
 
     For a degree-nu spherical harmonic this equals F(theta) times the
@@ -388,7 +377,7 @@ def spherical_mean(l, F, theta, rho, order=24):
     if rho == 0.0:
         return complex(np.asarray(F(theta[None, :]))[0])
     basis = orthcomplement_basis(theta)
-    sub_nodes, sub_weights = sphere_rule(l - 1, order)
+    sub_nodes, sub_weights = sphere_rule(l - 1, SPHERE_ORDER)
     pts = np.cos(rho) * theta[None, :] + np.sin(rho) * (sub_nodes @ basis)
     vals = np.asarray(F(pts))
     return complex((sub_weights @ vals) / sub_weights.sum())

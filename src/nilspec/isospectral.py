@@ -121,7 +121,7 @@ def _expanded(record):
     return np.sort(np.asarray(vals))[::-1]
 
 
-def reduced_operator_for_pole(alg, Q, n, m, mu, check_sign=True):
+def reduced_operator_for_pole(alg, Q, n, m, mu):
     """Radial operator parameters for the one-pole stratum (n, m) at pole Q.
 
     The reduction constants are recomputed from the pole: the twist
@@ -131,7 +131,7 @@ def reduced_operator_for_pole(alg, Q, n, m, mu, check_sign=True):
     isotropy.
     """
     p, q = (n + m) // 2, (n - m) // 2
-    if check_sign and n > 0:
+    if n > 0:
         K = np.eye(alg.l)[0]
         eig, resid = dk_eigencheck(alg, Q, K, p=p, q=q)
         expected = SIGMA_DK * (p - q) * 1j

@@ -13,7 +13,6 @@ __all__ = [
     "harmonic_space_dimension",
     "zonal_projector",
     "zonal_projector_factor",
-    "project_spherical",
     "orthonormal_complete",
     "orthcomplement_basis",
     "gauss_legendre",
@@ -92,17 +91,16 @@ def harmonic_space_dimension(l, s):
     return comb(s + l - 1, l - 1) - comb(s + l - 3, l - 1)
 
 
-def zonal_projector(l, s, nodes, weights, points=None):
+def zonal_projector(l, s, nodes, weights):
     """Weighted zonal kernel of the degree-s projector on S^{l-1}.
 
-    Row i, column j: dim(l,s)/area * phi_s(<points_i, nodes_j>) * weights_j,
-    so the matrix maps values at the quadrature nodes to the degree-s
-    component at `points` (default: the nodes themselves).
+    Row i, column j: dim(l,s)/area * phi_s(<nodes_i, nodes_j>) * weights_j,
+    so the matrix maps values at the quadrature nodes to their degree-s
+    component at the same nodes.
     """
     if l < 2:
         raise ValueError("need l >= 2")
-    points = nodes if points is None else points
-    kern = _zonal_kernel(l, s, np.clip(points @ nodes.T, -1.0, 1.0))
+    kern = _zonal_kernel(l, s, np.clip(nodes @ nodes.T, -1.0, 1.0))
     scale = harmonic_space_dimension(l, s) / sphere_area(l)
     return scale * kern * weights[None, :]
 
@@ -148,17 +146,6 @@ def _zonal_projector_factor(l, s, order):
     A.flags.writeable = False
     Bt.flags.writeable = False
     return A, Bt
-
-
-def project_spherical(l, s, func, points, order=24):
-    """Degree-s spherical-harmonic component of func, at the given points.
-
-    Zonal-kernel projector: (Pi_s F)(theta) =
-    dim(l,s)/area * integral of phi_s(<theta, v>) F(v) dv over the sphere.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    nodes, weights = sphere_rule(l, order)
-    return zonal_projector(l, s, nodes, weights, points) @ np.asarray(func(nodes))
 
 
 ORTHO_TOL = 1e-10  # candidates whose residual norm falls below this are dependent

@@ -2,8 +2,8 @@
 
 Theta twist polynomials, transforms over the full K-space / sphere bundles /
 single lattice points, the Z-crystal reduction, boundary-condition
-functions on Z-ball bundles, straight/twisted conversion with the singular
-cone cutoff, and the finite-truncation roulette machinery.
+functions on Z-ball bundles, the twisted-to-straight conversion, and the
+finite-truncation roulette machinery.
 
 D-convention: direct computation gives D_K Theta_Q = +i|K| Theta_Q; the
 recorded sign is SIGMA_DK = +1, and eigenvalue checks assert magnitude and
@@ -47,10 +47,6 @@ __all__ = [
     "adapted_complex_basis",
     "harmonic_nm_dimension",
     "twisted_to_straight",
-    "straight_to_twisted",
-    "evaluate_straight",
-    "evaluate_twisted",
-    "singular_cutoff",
     "RouletteState",
     "roulette_one_turn",
     "XKPolynomial",
@@ -327,7 +323,7 @@ def zcrystal_reduced_apply(psi, X, JZg, mu):
 # -- boundary-condition functions on Z-ball bundles ---------------------------
 
 
-def boundary_functions(alg, s, i, bc, p, q, Q, R=1.0, radial=None, angular=None, sphere_order=16):
+def boundary_functions(alg, s, i, bc, p, q, Q, R=1.0, sphere_order=16):
     """Twisted transform satisfying the Dirichlet or Z-Neumann condition.
 
     Built over the K-sphere of radius sqrt(lambda_i^(s)) of the Z-ball
@@ -344,8 +340,6 @@ def boundary_functions(alg, s, i, bc, p, q, Q, R=1.0, radial=None, angular=None,
         Q=Q,
         p=p,
         q=q,
-        radial=radial,
-        angular=angular,
         project_x=True,
         project_k=s,
         sphere_order=sphere_order,
@@ -399,21 +393,24 @@ def adapted_complex_basis(alg, Z_u):
     return np.vstack(rows)
 
 
-def harmonic_nm_dimension(alg, n, m, Z_u=None, seed=0, tol=1e-8):
+RANK_TOL = 1e-8  # singular values below this fraction of the largest count as zero
+
+
+def harmonic_nm_dimension(alg, n, m):
     """Brute-force rank of the space of projected twist polynomials H^(n,m).
 
     Spans Pi_X of the monomials z^{p_i} conj(z)^{q_i} with sum p = (n+m)/2,
-    sum q = (n-m)/2 in an adapted complex basis, evaluates on random X
-    samples and returns the numerical rank.
+    sum q = (n-m)/2 in the complex basis adapted to the first Z-axis,
+    evaluates on random X samples and returns the numerical rank.
     """
     if (n + m) % 2 or abs(m) > n:
         return 0
-    Z_u = np.eye(alg.l)[0] if Z_u is None else np.asarray(Z_u, dtype=float)
+    Z_u = np.eye(alg.l)[0]
     p, q = (n + m) // 2, (n - m) // 2
     B = adapted_complex_basis(alg, Z_u)
     kappa = alg.k // 2
     expos = [(pe, qe) for pe in _monomials(kappa, p) for qe in _monomials(kappa, q)]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     pts = rng.standard_normal((4 * len(expos) + 40, alg.k))
     vals = []
     for pe, qe in expos:
@@ -422,10 +419,10 @@ def harmonic_nm_dimension(alg, n, m, Z_u=None, seed=0, tol=1e-8):
     svals = np.linalg.svd(np.array(vals), compute_uv=False)
     if svals.size == 0:
         return 0
-    return int(np.sum(svals > tol * svals[0]))
+    return int(np.sum(svals > RANK_TOL * svals[0]))
 
 
-# -- straight / twisted conversion --------------------------------------------
+# -- twisted-to-straight conversion -------------------------------------------
 
 
 def twisted_to_straight(alg, B, pq_list, K_u):
@@ -444,95 +441,6 @@ def twisted_to_straight(alg, B, pq_list, K_u):
         out = poly_mul(out, poly_power(zpol, p, alg.k))
         out = poly_mul(out, poly_power(zbar, q, alg.k))
     return out
-
-
-def straight_to_twisted(alg, B, straight, K_u):
-    """Twisted dict {((p_j), (q_j)): coeff} of a straight monomial dict.
-
-    Inverts the frame relations at this K_u: the standard coordinates are
-    expanded through A^{-1} into the B_R frame and the halves
-    <B_j, X> = (z_j + conj z_j)/2, <J B_j, X> = (z_j - conj z_j)/(2i).
-    Fails on the singularity set of B (singular frame matrix).
-    """
-    from .algebra import frame_matrix
-
-    K_u = np.asarray(K_u, dtype=float)
-    K_u = K_u / np.linalg.norm(K_u)
-    B = np.asarray(B, dtype=float)
-    half = alg.k // 2
-    A, det = frame_matrix(alg, B, np.eye(alg.k), K_u)
-    if abs(det) < 1e-12:
-        raise ValueError("K_u lies on the singularity set of B")
-    Ainv = np.linalg.inv(A)
-
-    # <Q_i, X> as a polynomial in (z, conj z), flat p || q exponent keys:
-    # Q_i = sum_j Ainv[i, j] B_R[j]
-    cz = 0.5 * Ainv[:, :half] + Ainv[:, half:] / 2j
-    czb = 0.5 * Ainv[:, :half] - Ainv[:, half:] / 2j
-    coord_tw = [
-        HomogeneousPolynomial.linear_form(np.concatenate([cz[i], czb[i]])).coeffs
-        for i in range(alg.k)
-    ]
-
-    out = {}
-    for expo, coeff in straight.items():
-        term = {(0,) * alg.k: complex(coeff)}
-        for i, e in enumerate(expo):
-            term = poly_mul(term, poly_power(coord_tw[i], e, alg.k))
-        out = poly_add(out, term)
-    return {(key[:half], key[half:]): c for key, c in out.items() if abs(c) > 1e-14}
-
-
-def evaluate_straight(straight, X):
-    return poly_eval(straight, np.asarray(X, dtype=float))[0]
-
-
-def evaluate_twisted(alg, B, twisted, X, K_u):
-    K_u = np.asarray(K_u, dtype=float)
-    J = alg.J(K_u / np.linalg.norm(K_u))
-    B = np.asarray(B, dtype=float)
-    z = np.array([(B[j] @ X) + 1j * ((J @ B[j]) @ X) for j in range(len(B))])
-    flat = {pe + qe: c for (pe, qe), c in twisted.items()}
-    return poly_eval(flat, np.concatenate([z, np.conj(z)]))[0]
-
-
-def _smoothstep(u):
-    """C^inf step: 0 for u <= 0, 1 for u >= 1."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    pos = u > 0
-    high = u >= 1
-    mid = pos & ~high
-    if np.any(mid):
-        a = np.exp(-1.0 / u[mid])
-        b = np.exp(-1.0 / (1.0 - u[mid]))
-        out[mid] = a / (a + b)
-    out[high] = 1.0
-    return out
-
-
-def singular_cutoff(alg, B, eps):
-    """psi_eps(K): 0 where |det A(K_u)| <= eps/2, 1 where >= eps, smooth between.
-
-    The sublevel sets of |det A| stand in for the metric eps-neighborhoods
-    of the singularity set; constant in radial K-directions, and the family
-    is monotone in eps.
-    """
-    from .algebra import frame_matrix
-
-    B = np.asarray(B, dtype=float)
-
-    def psi(K):
-        K = np.asarray(K, dtype=float)
-        if K.ndim == 1:
-            kk = np.linalg.norm(K)
-            if kk == 0:
-                return 0.0
-            _, det = frame_matrix(alg, B, np.eye(alg.k), K / kk)
-            return float(_smoothstep((abs(det) - eps / 2.0) / (eps / 2.0)))
-        return np.array([psi(row) for row in K])
-
-    return psi
 
 
 # -- roulette operators --------------------------------------------------------
@@ -710,19 +618,21 @@ def m_perp_values(alg, F, X, nodes):
     return total
 
 
-def spin_matrix(alg, test_functions, s_from, s_to_list, X_samples=None, sphere_order=14, rng=None):
+SPIN_SPHERE_ORDER = 14  # sphere-rule order of the spin-matrix fit
+
+
+def spin_matrix(alg, test_functions, s_from, s_to_list):
     """Least-squares S with [D_K, Pi^(s_from)] F = sum_s S[s] Pi^(s) M_perp F.
 
     test_functions: XKPolynomials, X-homogeneous, K-homogeneous (evaluated
-    on the unit K-sphere).  Returns (S coefficients indexed by s_to_list,
-    relative residual of the decomposition).
+    on the unit K-sphere), sampled at six seeded random X.  Returns (S
+    coefficients indexed by s_to_list, relative residual of the
+    decomposition).
     """
-    rng = rng or np.random.default_rng(5)
-    if X_samples is None:
-        X_samples = rng.standard_normal((6, alg.k))
-    nodes, _ = sphere_rule(alg.l, sphere_order)
-    A_from, Bt_from = zonal_projector_factor(alg.l, s_from, sphere_order)
-    projs_to = [zonal_projector_factor(alg.l, s, sphere_order) for s in s_to_list]
+    X_samples = np.random.default_rng(5).standard_normal((6, alg.k))
+    nodes, _ = sphere_rule(alg.l, SPIN_SPHERE_ORDER)
+    A_from, Bt_from = zonal_projector_factor(alg.l, s_from, SPIN_SPHERE_ORDER)
+    projs_to = [zonal_projector_factor(alg.l, s, SPIN_SPHERE_ORDER) for s in s_to_list]
 
     lhs_rows = []
     cand_rows = [[] for _ in s_to_list]

@@ -22,9 +22,7 @@ __all__ = [
     "nonrelativistic_link",
     "static_split_residual",
     "solvable_split_residual",
-    "time_reversed_table",
     "second_time_derivative_profile",
-    "solvable_apply",
     "zcrystal_wave_residual",
     "ShrinkingWave",
     "meson_phase_residual",
@@ -201,10 +199,10 @@ def nonrelativistic_link(K, constants):
 # -- exact splitting identities ------------------------------------------------
 
 
-def _table_residual(left, rights, T_samples=(-0.7, 0.0, 0.4, 1.3)):
+def _table_residual(left, rights):
     worst = 0.0
     for atom in ATOMS:
-        for T in T_samples:
+        for T in (-0.7, 0.0, 0.4, 1.3):
             lv = left.get(atom, lambda T: 0.0)(T)
             rv = sum(r.get(atom, lambda T: 0.0)(T) for r in rights)
             worst = max(worst, abs(lv - rv))
@@ -231,19 +229,6 @@ def solvable_split_residual(constants, k, l):
     return _table_residual(full, parts)
 
 
-def time_reversed_table(op):
-    """Atom table in the reversed time variable tau = -T.
-
-    First-order time derivatives flip sign and every coefficient is read
-    at T = -tau; applying the map twice restores the original table.
-    """
-    out = {}
-    for atom, coeff in op.items():
-        sign = -1.0 if atom == "dT" else 1.0
-        out[atom] = (lambda c, s: (lambda tau: s * c(-tau)))(coeff, sign)
-    return out
-
-
 def second_time_derivative_profile(constants, k, l):
     """Map kind -> d2T coefficient at T=0; nonzero only for neutrino kinds
     and the operators containing them."""
@@ -267,20 +252,13 @@ def second_time_derivative_profile(constants, k, l):
 # -- concrete wave applications -------------------------------------------------
 
 
-def solvable_apply(ext, kind, f, point, constants=None):
-    """Apply a named expanding operator to f(X, Z, T) at the given point."""
-    constants = constants or PhysicalConstants()
-    op = operator_atoms(kind, constants, k=ext.k, l=ext.l, q=ext.q)
-    X, Z, T = point
-    return apply_operator(op, f, ext.base, X, Z, T)
-
-
-def zcrystal_wave_residual(alg, K_tilde, p, q, r, constants=None, kind="schrodinger", X=None, Z=None, t=0.3):
+def zcrystal_wave_residual(alg, K_tilde, p, q, r, constants=None, kind="schrodinger"):
     """Residual of the static (total) Schrodinger operator on the anti wave.
 
     psi~ = e^{i<Z, K~>} e^{i (hbar/2m) omega~ t} f_mu(x^2) Pi_X(Theta^p
     conj(Theta)^q), mu = |K~|/2, with omega~ = (4r + 4 p_index + k) mu for
-    the plain Schrodinger operator and + 4 mu^2 for the total one.
+    the plain Schrodinger operator and + 4 mu^2 for the total one, at a
+    seeded random (X, Z) and t = 0.3.
     Under the recorded D-sign convention the effective magnetic number of
     the (p, q) twist is m = p - q, so p_index = p.
     """
@@ -308,8 +286,9 @@ def zcrystal_wave_residual(alg, K_tilde, p, q, r, constants=None, kind="schrodin
         return np.exp(1j * (K_tilde @ Zv)) * np.exp(1j * rate * tv) * f_mu(Xv @ Xv) * tw
 
     rng = np.random.default_rng(2)
-    X = rng.standard_normal(alg.k) * 0.6 if X is None else np.asarray(X, dtype=float)
-    Z = rng.standard_normal(alg.l) * 0.5 if Z is None else np.asarray(Z, dtype=float)
+    X = rng.standard_normal(alg.k) * 0.6
+    Z = rng.standard_normal(alg.l) * 0.5
+    t = 0.3
     op = operator_atoms(kind, constants)
     val = apply_operator(op, wave, alg, X, Z, t)
     scale = max(abs(wave(X, Z, t)), 1e-12)
@@ -317,17 +296,14 @@ def zcrystal_wave_residual(alg, K_tilde, p, q, r, constants=None, kind="schrodin
 
 
 class ShrinkingWave:
-    """Psi = e^{i(<Z,K> - omega e^T)} f(X) with exact atom responses."""
+    """Psi = e^{i(<Z,K> - omega e^T)}, constant in X, with exact atom responses."""
 
-    def __init__(self, K, omega, alg=None, envelope=None):
+    def __init__(self, K, omega):
         self.K = np.asarray(K, dtype=float)
         self.omega = float(omega)
-        self.alg = alg
-        self.envelope = envelope
 
     def __call__(self, X, Z, T):
-        env = 1.0 if self.envelope is None else self.envelope(np.asarray(X, dtype=float))
-        return env * np.exp(1j * (self.K @ np.asarray(Z, dtype=float) - self.omega * np.exp(T)))
+        return np.exp(1j * (self.K @ np.asarray(Z, dtype=float) - self.omega * np.exp(T)))
 
     def atom_response(self, atom, X, Z, T):
         base = self(X, Z, T)
@@ -343,8 +319,6 @@ class ShrinkingWave:
             X = np.asarray(X, dtype=float)
             return -(X @ X) * (self.K @ self.K) * base
         if atom in ("lapX", "mix"):
-            if self.envelope is not None:
-                raise NotImplementedError("X-dependent envelopes need finite differences")
             return 0.0
         raise ValueError(atom)
 
@@ -357,19 +331,19 @@ def meson_phase_residual(K, constants, T=0.0):
     return abs(np.exp(2.0 * T) * (omega**2 - kk**2))
 
 
-def expanding_packet_residual(ext, kind, packet, constants=None, grid=None):
+def expanding_packet_residual(ext, kind, packet, constants=None):
     """Residual field of a named operator on a packet over a (Z, T) grid.
 
     packet: a ShrinkingWave (exact responses) or any callable f(X, Z, T).
+    The grid is X = 0, Z in {0, 0.3 (1, ..., 1)}, T in {-0.5, 0, 0.5}.
     For the shrinking neutrino the hat-relation is evaluated by applying
     the operator to the hat wave e^{+i m c^2 e^T / hbar} Psi.  Returns the
     list of (point, residual magnitude).
     """
     constants = constants or PhysicalConstants()
-    if grid is None:
-        Ts = np.linspace(-0.5, 0.5, 3)
-        Zs = [np.zeros(ext.l), 0.3 * np.ones(ext.l)]
-        grid = [(np.zeros(ext.k), Z, T) for Z in Zs for T in Ts]
+    Ts = np.linspace(-0.5, 0.5, 3)
+    Zs = [np.zeros(ext.l), 0.3 * np.ones(ext.l)]
+    grid = [(np.zeros(ext.k), Z, T) for Z in Zs for T in Ts]
     op = operator_atoms(kind, constants, k=ext.k, l=ext.l, q=ext.q)
     out = []
     for X, Z, T in grid:

@@ -5,7 +5,6 @@ from nilspec.clifford import (
     CliffordModule,
     SizeCapExceeded,
     build_generators,
-    build_J,
     endomorphism_space,
     irreducible_dimension,
 )
@@ -89,14 +88,14 @@ def test_module_keeps_its_checked_generators():
 
 def test_build_J_block_signs():
     space = endomorphism_space(1, 1, 1)
-    J = build_J(space, [1.0])
+    J = space.J([1.0])
     assert np.allclose(J[:2, :2], [[0, -1], [1, 0]])
     assert np.allclose(J[2:, 2:], [[0, 1], [-1, 0]])
 
 
 def test_build_J_one_block():
     space = endomorphism_space(1, 1, 0)
-    assert np.allclose(build_J(space, [1.0]), [[0, -1], [1, 0]])
+    assert np.allclose(space.J([1.0]), [[0, -1], [1, 0]])
 
 
 def test_J_squared_random_unit_Z():
@@ -104,7 +103,7 @@ def test_J_squared_random_unit_Z():
     space = endomorphism_space(3, 1, 0)
     Z = rng.standard_normal(3)
     Z /= np.linalg.norm(Z)
-    J = build_J(space, Z)
+    J = space.J(Z)
     assert np.abs(J @ J + np.eye(4)).max() < 1e-14
 
 

@@ -17,7 +17,6 @@ from nilspec.glz import (
     compact_spectrum,
     compact_upper_bound,
     explicit_eigenvalue,
-    explicit_spectrum,
     exterior_operator_eigenvalue,
     fullspace_spectrum,
     laguerre_eigenfunction,
@@ -206,16 +205,6 @@ def test_exterior_operator_reduction():
     rec = fullspace_spectrum(op, T=60.0, N=200, count=2)
     expect = [explicit_eigenvalue(np.pi / 2.0, r, 0, 4) for r in range(2)]
     assert np.abs(rec.values() - expect).max() < 1e-7
-
-
-def test_spectrum_record_serialization():
-    # the record carries exactly the explicit eigenvalues, indexed and sorted
-    rec = explicit_spectrum(1.0, 2, r_max=1, p_max=1)
-    assert len(rec.eigenvalues) == 4 and rec.provenance == "explicit"
-    for e in rec.eigenvalues:
-        r, n, m = e["indices"]["r"], e["indices"]["n"], e["indices"]["m"]
-        assert e["value"] == explicit_eigenvalue(1.0, r, (n + m) // 2, 2)
-    assert list(rec.values()) == sorted(rec.values(), reverse=True)
 
 
 def test_variable_mu_operator():

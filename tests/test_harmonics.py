@@ -9,13 +9,11 @@ from nilspec.harmonics import (
     hankel_transform_slice,
     harmonic_decomposition,
     harmonic_projection,
-    dimension_free_projection_recursion,
     projection_coefficients,
     spherical_mean,
 )
 from nilspec.quadrature import (
     harmonic_space_dimension,
-    project_spherical,
     sphere_area,
     sphere_rule,
     zonal_eigenfunction,
@@ -55,14 +53,14 @@ def test_zonal_eigenfunction_values():
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5])
 def test_zonal_projector_kernel_from_cosines(l):
-    # one node per cosine c against the pole e_1, unit weights: row 0 of the
-    # projector is dim/area * phi_s(arccos c)
+    # the pole e_1, then one node per cosine c against it, unit weights:
+    # row 0 of the projector is dim/area * phi_s(arccos c) past column 0
     c = np.linspace(-1.0, 1.0, 41)
-    nodes = np.zeros((len(c), l))
-    nodes[:, 0], nodes[:, 1] = c, np.sqrt(1.0 - c**2)
-    pole = np.eye(l)[:1]
+    nodes = np.zeros((len(c) + 1, l))
+    nodes[0, 0] = 1.0
+    nodes[1:, 0], nodes[1:, 1] = c, np.sqrt(1.0 - c**2)
     for s in range(7):
-        row = zonal_projector(l, s, nodes, np.ones(len(c)), pole)[0]
+        row = zonal_projector(l, s, nodes, np.ones(len(nodes)))[0, 1:]
         kern = row * sphere_area(l) / harmonic_space_dimension(l, s)
         assert np.abs(kern - zonal_eigenfunction(l, s, np.arccos(c))).max() < 1e-13
 
@@ -107,15 +105,15 @@ def test_harmonic_space_dimensions():
 
 
 def test_spherical_projector_reproduces_harmonics():
-    pts = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]])
-    f1 = lambda v: v[:, 2]
-    f2 = lambda v: v[:, 0] * v[:, 1]
-    assert np.abs(project_spherical(3, 1, f1, pts) - f1(pts)).max() < 1e-12
-    assert np.abs(project_spherical(3, 2, f2, pts) - f2(pts)).max() < 1e-12
-    assert np.abs(project_spherical(3, 2, f1, pts)).max() < 1e-12
+    nodes, weights = sphere_rule(3, 8)
+    f1 = nodes[:, 2]
+    f2 = nodes[:, 0] * nodes[:, 1]
+    assert np.abs(zonal_projector(3, 1, nodes, weights) @ f1 - f1).max() < 1e-12
+    assert np.abs(zonal_projector(3, 2, nodes, weights) @ f2 - f2).max() < 1e-12
+    assert np.abs(zonal_projector(3, 2, nodes, weights) @ f1).max() < 1e-12
     # x1^2 on the sphere splits into 1/3 + (x1^2 - 1/3)
-    f3 = lambda v: v[:, 0] ** 2
-    assert np.abs(project_spherical(3, 0, f3, pts) - 1.0 / 3.0).max() < 1e-12
+    f3 = nodes[:, 0] ** 2
+    assert np.abs(zonal_projector(3, 0, nodes, weights) @ f3 - 1.0 / 3.0).max() < 1e-12
 
 
 # -- harmonic projection -------------------------------------------------------
@@ -149,18 +147,12 @@ def test_projection_idempotent_random():
             assert (harmonic_projection(H) - H).max_coeff() < 1e-12 * max(1.0, H.max_coeff())
 
 
-def test_projection_coefficient_vs_dimension_free_recursion():
-    # the harmonicity-forced s=1 coefficient is -1/(2(2n + d - 4)); the
-    # dimension-free recursion gives -1/(2(2n + 1)), agreeing only at d = 5
+def test_projection_coefficient_closed_form():
+    # the harmonicity-forced s=1 coefficient is -1/(2(2n + d - 4)); it
+    # depends on the dimension d
     n = 2
     for d in (2, 3, 4, 5, 6):
-        ours = projection_coefficients(d, n)[1]
-        alt = dimension_free_projection_recursion(n, 1)[1]
-        assert ours == pytest.approx(-1.0 / (2.0 * (2 * n + d - 4)))
-        if d == 5:
-            assert ours == pytest.approx(alt)
-        else:
-            assert ours != pytest.approx(alt)
+        assert projection_coefficients(d, n)[1] == pytest.approx(-1.0 / (2.0 * (2 * n + d - 4)))
 
 
 def test_decomposition_examples():

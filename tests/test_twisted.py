@@ -3,7 +3,7 @@ import pytest
 
 from nilspec import geometry
 from nilspec.algebra import complete_basis, htype_group
-from nilspec.harmonics import fourier_quadrature
+from nilspec.harmonics import fourier_quadrature, poly_eval
 from nilspec.quadrature import sphere_rule, zonal_projector
 from nilspec.twisted import (
     SIGMA_DK,
@@ -14,16 +14,12 @@ from nilspec.twisted import (
     boundary_functions,
     delta_z_apply,
     dk_eigencheck,
-    evaluate_straight,
-    evaluate_twisted,
     harmonic_nm_dimension,
     m_operator_apply,
     m_operator_eigencheck,
     m_perp_values,
     roulette_one_turn,
-    singular_cutoff,
     spin_matrix,
-    straight_to_twisted,
     theta_eval,
     theta_projected,
     twisted_to_straight,
@@ -322,63 +318,38 @@ def _adapted_B():
     return complete_basis(np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0]]))[:2]
 
 
+def _z_coords(B, X, Ku):
+    """z_j = <B_j + i J_{K_u} B_j, X>, computed directly."""
+    J = H3.J(Ku)
+    return np.array([B[j] @ X + 1j * ((J @ B[j]) @ X) for j in range(len(B))])
+
+
 def test_conversion_roundtrip_off_singular_set():
+    # the straight polynomial of z_0^2 conj(z_0) conj(z_1) takes the same
+    # values as the product of the complex coordinates themselves
     B = _adapted_B()
     rng = np.random.default_rng(3)
     Ku = rng.standard_normal(3)
     Ku /= np.linalg.norm(Ku)
-    pq = [(0, 2, 1), (1, 0, 1)]
-    twisted = {((2, 0), (1, 1)): 1.0}
-    straight = twisted_to_straight(H3, B, pq, Ku)
-    X = rng.standard_normal(4)
-    direct = evaluate_twisted(H3, B, twisted, X, Ku)
-    assert abs(direct - evaluate_straight(straight, X)) < 1e-12
-    back = straight_to_twisted(H3, B, straight, Ku)
-    assert abs(direct - evaluate_twisted(H3, B, back, X, Ku)) < 1e-12
+    straight = twisted_to_straight(H3, B, [(0, 2, 1), (1, 0, 1)], Ku)
+    assert all(sum(e) == 4 for e in straight)
+    for X in rng.standard_normal((5, 4)):
+        z = _z_coords(B, X, Ku)
+        direct = z[0] ** 2 * np.conj(z[0]) * np.conj(z[1])
+        assert abs(poly_eval(straight, X[None, :])[0] - direct) < 1e-12
 
 
 def test_conversion_exact_linear_case():
+    # z_0 and conj(z_0) are the linear forms B_0 +- i J B_0, coefficient by
+    # coefficient
     B = _adapted_B()
     Ku = np.array([1.0, 0.0, 0.0])
-    straight = {(1, 0, 0, 0): 1.0}
-    tw = straight_to_twisted(H3, B, straight, Ku)
-    X = np.array([0.3, -0.2, 0.5, 0.1])
-    assert abs(evaluate_twisted(H3, B, tw, X, Ku) - X[0]) < 1e-13
-
-
-def test_conversion_rejects_singular_direction():
-    # J_{e_2} maps the basis vector 1 onto j, a complex dependence: singular
-    B = _adapted_B()
-    with pytest.raises(ValueError):
-        straight_to_twisted(H3, B, {(1, 0, 0, 0): 1.0}, np.array([0.0, 1.0, 0.0]))
-
-
-def test_cutoff_monotone_and_support():
-    B = _adapted_B()
-    psi_big = singular_cutoff(H3, B, 0.5)
-    psi_small = singular_cutoff(H3, B, 0.25)
-    nodes, weights = sphere_rule(3, 12)
-    v_big = psi_big(nodes)
-    v_small = psi_small(nodes)
-    assert np.all(v_small >= v_big - 1e-12)  # halving eps only grows the cutoff
-    assert v_big.min() >= 0.0 and v_big.max() <= 1.0
-    # L2 discrepancy of the cutoff multiply does not increase as eps halves
-    f_vals = np.cos(nodes @ np.array([1.0, 2.0, 0.5]))
-    err_big = np.sqrt(weights @ ((1.0 - v_big) * f_vals) ** 2)
-    err_small = np.sqrt(weights @ ((1.0 - v_small) * f_vals) ** 2)
-    assert err_small <= err_big + 1e-12
-
-
-def test_cutoff_identity_off_singular_set():
-    B = _adapted_B()
-    psi = singular_cutoff(H3, B, 1e-4)
-    nodes, _ = sphere_rule(3, 8)
-    from nilspec.algebra import frame_matrix
-
-    for node in nodes[:12]:
-        _, det = frame_matrix(H3, B, np.eye(4), node)
-        if abs(det) > 1e-3:
-            assert psi(node) == pytest.approx(1.0)
+    a = B[0] + 1j * (H3.J(Ku) @ B[0])
+    for pq, form in (((0, 1, 0), a), ((0, 0, 1), np.conj(a))):
+        straight = twisted_to_straight(H3, B, [pq], Ku)
+        expect = {tuple(np.eye(4, dtype=int)[i]): form[i] for i in range(4) if form[i] != 0}
+        assert straight.keys() == expect.keys()
+        assert all(straight[e] == expect[e] for e in expect)
 
 
 def test_injectivity_gram_rank():
@@ -389,7 +360,8 @@ def test_injectivity_gram_rank():
     exps = [((0, 0), (0, 0)), ((1, 0), (0, 0)), ((0, 0), (1, 0)), ((1, 0), (0, 1)), ((0, 1), (1, 0))]
     pts = rng.standard_normal((40, 4))
     M = np.array([
-        [evaluate_twisted(H3, B, {e: 1.0}, X, Ku) for X in pts] for e in exps
+        poly_eval(twisted_to_straight(H3, B, [(j, pe[j], qe[j]) for j in range(2)], Ku), pts)
+        for pe, qe in exps
     ])
     s = np.linalg.svd(M, compute_uv=False)
     assert s[-1] > 1e-8 * s[0]

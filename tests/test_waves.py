@@ -14,7 +14,6 @@ from nilspec.waves import (
     relativistic_dispersion,
     relativistic_residual,
     second_time_derivative_profile,
-    solvable_apply,
     solvable_split_residual,
     static_split_residual,
     zcrystal_wave_residual,
@@ -71,22 +70,6 @@ def test_second_order_time_only_in_neutrino():
     prof = second_time_derivative_profile(CC, 4, 3)
     with_d2T = {k for k, v in prof.items() if v != 0}
     assert with_d2T == {"full_static", "neutrino", "full_solvable", "meson", "shrinking_neutrino"}
-
-
-def test_expanding_equals_shrinking_under_time_flip():
-    # tau = -T: coefficients read at -tau, first-order time terms flip sign;
-    # the map is an exact involution
-    from nilspec.waves import time_reversed_table
-
-    for kind in ("meson", "shrinking_neutrino", "full_solvable"):
-        table = operator_atoms(kind, CC, k=4, l=3)
-        expanding = time_reversed_table(table)
-        back = time_reversed_table(expanding)
-        for atom, coeff in table.items():
-            for T in (-0.8, 0.0, 1.1):
-                assert back[atom](T) == coeff(T)
-                sign = -1.0 if atom == "dT" else 1.0
-                assert expanding[atom](-T) == sign * coeff(T)
 
 
 def test_plane_wave_in_z_t_only_at_origin():
@@ -155,31 +138,31 @@ def test_shrinking_neutrino_hat_wave():
 
 
 def test_solvable_apply_exponential():
-    ext = SolvableExtension(H3, 1.0)
+    # the q = 1 operators on the solvable extension of H^(1,0)_3 (k = 4, l = 3)
     a = 0.8
     f = lambda X, Z, T: np.exp(a * T)
-    got = solvable_apply(ext, "full_solvable", f, (np.zeros(4), np.zeros(3), 0.3))
+    got = apply_operator(operator_atoms("full_solvable", CC, k=4, l=3), f, H3, np.zeros(4), np.zeros(3), 0.3)
     expect = (-(a**2) + (2.0 + 3.0) * a) * np.exp(a * 0.3)
     assert abs(got - expect) < 1e-6
 
 
 def test_tractor_kills_time_independent():
-    ext = SolvableExtension(H3, 1.0)
-    got = solvable_apply(ext, "tractor", lambda X, Z, T: 1.0 + 0.0j, (np.zeros(4), np.zeros(3), 0.0))
+    tractor = operator_atoms("tractor", CC, k=4, l=3)
+    got = apply_operator(tractor, lambda X, Z, T: 1.0 + 0.0j, H3, np.zeros(4), np.zeros(3), 0.0)
     assert got == 0.0
 
 
 def test_full_solvable_equals_sum_of_parts_on_wave():
     cc = PhysicalConstants(m=0.4)
-    ext = SolvableExtension(H3, 1.0)
     K = np.array([0.3, -0.2, 0.5])
     wave = ShrinkingWave(K, 1.1)
     point = (np.zeros(4), np.array([0.1, 0.2, -0.1]), 0.2)
-    total = solvable_apply(ext, "full_solvable", wave, point, cc)
-    parts = sum(
-        solvable_apply(ext, kind, wave, point, cc)
-        for kind in ("shrinking_neutrino", "expanding_schrodinger", "tractor")
-    )
+
+    def apply(kind):
+        return apply_operator(operator_atoms(kind, cc, k=4, l=3), wave, H3, *point)
+
+    total = apply("full_solvable")
+    parts = sum(apply(kind) for kind in ("shrinking_neutrino", "expanding_schrodinger", "tractor"))
     assert abs(total - parts) < 1e-10
 
 
