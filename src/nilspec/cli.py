@@ -200,7 +200,7 @@ _KEYS = {
     "pair.a_right": ("int", 1, None),
     "pair.b_right": ("int", 1, None),
     "operator.mode": ("mode", "explicit", None),
-    "operator.mu": ("number", 1.0, None),
+    "operator.mu": ("number", 1.0, ">= 0"),
     "operator.r_max": ("int", 3, ">= 0"),
     "operator.p_max": ("int", 2, ">= 0"),
     "operator.n": ("int", 0, None),
@@ -329,6 +329,9 @@ def cmd_spectrum(config, opts):
     mu = _setting(config, "operator.mu")
     count = _setting(config, "domain.count")
     N = _setting(config, "domain.N")
+    if mu == 0 and mode != "compact":
+        raise ConfigError(f"operator.mu must be > 0 in mode {mode!r}: at mu = 0 the full-space operator "
+                          "has no L^2 eigenvalues")
     if mode == "fullspace":
         n = _setting(config, "operator.n")
         strata = [[n, _setting(config, "operator.m", default=n)]]

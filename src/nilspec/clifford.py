@@ -18,6 +18,7 @@ __all__ = [
     "endomorphism_space",
 ]
 
+# largest block dimension n_l that build_generators builds; read at each call
 DEFAULT_SIZE_CAP = 4096
 
 # n_l for l = 8p + r is 2^(4p) times this table indexed by r
@@ -103,7 +104,7 @@ def _double(gens, n):
     return out
 
 
-def build_generators(l, size_cap=DEFAULT_SIZE_CAP):
+def build_generators(l):
     """Construct generators j_1..j_l of an irreducible module on R^{n_l}.
 
     l = 1..3 are realized on the complex numbers / quaternions by left
@@ -112,13 +113,15 @@ def build_generators(l, size_cap=DEFAULT_SIZE_CAP):
     multiplications; l = 8 doubles the octonion set; l > 8 follows the
     period-8 tensor recursion.  Deterministic, integer entries.  The
     module is built and checked once per l and shared: repeated calls
-    return the same object, whose generators are read-only.
+    return the same object, whose generators are read-only.  Raises
+    SizeCapExceeded when n_l exceeds DEFAULT_SIZE_CAP, before the cache is
+    consulted.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
     n = irreducible_dimension(l)
-    if n > size_cap:
-        raise SizeCapExceeded(f"n_{l} = {n} exceeds size cap {size_cap}")
+    if n > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(f"n_{l} = {n} exceeds size cap {DEFAULT_SIZE_CAP}")
     return _irreducible_module(l)
 
 

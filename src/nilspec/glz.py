@@ -1,8 +1,9 @@
 """The radial Ginsburg-Landau-Zeeman operator and its spectra.
 
 Explicit Laguerre spectrum on the full X-space, discretized
-Dirichlet/Neumann/Robin spectra on X-balls (Chebyshev-Galerkin with a
-shooting cross-check), and Z-ball Bessel eigenvalues.
+Dirichlet/Neumann/Robin spectra on X-balls (Chebyshev-Galerkin), and
+Z-ball Bessel eigenvalues.  Every stratum has one constant reduction
+constant mu >= 0.
 """
 
 import functools
@@ -10,16 +11,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import jv, roots_genlaguerre
-
-from .geometry import _central_difference
 
 __all__ = [
     "RadialGLZOperator",
     "SpectrumRecord",
-    "radial_apply",
     "explicit_eigenvalue",
     "laguerre_eigenfunction",
     "laguerre_operator_apply",
@@ -32,7 +29,6 @@ __all__ = [
     "exterior_operator_eigenvalue",
     "chebyshev_nodes",
     "chebyshev_diff",
-    "shooting_eigenvalue",
     "laguerre_orthogonality_residual",
 ]
 
@@ -41,8 +37,8 @@ class RadialGLZOperator:
     """Reduced radial operator 4t f'' + (2k+4n) f' - (2m mu + 4 mu^2 (1+t/4)) f.
 
     k is the X-space dimension, n the X-harmonic order, m the magnetic
-    quantum number (m = 2p - n), mu a positive constant or a callable
-    mu(t) for variable Z-radius bundles.  t is the squared X-radius.
+    quantum number (m = 2p - n), mu >= 0 the reduction constant: pi |Z_gamma|
+    on a Z-torus, sqrt(lambda_i)/2 on a Z-ball.  t is the squared X-radius.
     """
 
     def __init__(self, k, n, m, mu):
@@ -53,40 +49,21 @@ class RadialGLZOperator:
         self.k = int(k)
         self.n = int(n)
         self.m = int(m)
-        self.mu = mu
+        self.mu = float(mu)
+        if not (np.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError(f"mu must be finite and >= 0, got {mu!r}")
 
     @property
     def p(self):
         return (self.m + self.n) // 2
 
-    def mu_at(self, t):
-        return self.mu(t) if callable(self.mu) else self.mu
-
     def coeffs(self, t):
         """(a2, a1, a0) with op(f) = a2 f'' + a1 f' + a0 f at t."""
-        mu = self.mu_at(t)
+        mu = self.mu
         return 4.0 * t, 2.0 * self.k + 4.0 * self.n, -(2.0 * self.m * mu + 4.0 * mu**2 * (1.0 + 0.25 * t))
 
     def to_json_dict(self):
-        mu = self.mu if not callable(self.mu) else None
-        return {"k": self.k, "n": self.n, "m": self.m, "mu": mu}
-
-
-def radial_apply(op, f, t, df=None, d2f=None):
-    """Apply the radial operator to f at t.
-
-    Derivatives are taken from df/d2f when given (or from f.derivative /
-    f.second_derivative), otherwise by central differences.
-    """
-    if df is None and hasattr(f, "derivative"):
-        df = f.derivative
-    if d2f is None and hasattr(f, "second_derivative"):
-        d2f = f.second_derivative
-    f0 = f(t)
-    d1 = df(t) if df is not None else _central_difference(lambda s: f(t + s), 1)
-    d2 = d2f(t) if d2f is not None else _central_difference(lambda s: f(t + s), 2)
-    a2, a1, a0 = op.coeffs(t)
-    return a2 * d2 + a1 * d1 + a0 * f0
+        return {"k": self.k, "n": self.n, "m": self.m, "mu": self.mu}
 
 
 def explicit_eigenvalue(mu, r, p, k):
@@ -159,9 +136,8 @@ class ScaledEigenfunction:
 def scaled_eigenfunction(mu, r, n, k):
     """Radial eigenfunction u(mu t) e^{-mu t/2} for the order-n stratum.
 
-    For any operator (k, n, m, mu) with p = (m + n)/2 the pointwise
-    identity radial_apply(op, f) = explicit_eigenvalue(mu, r, p, k) * f
-    holds.
+    For any operator (k, n, m, mu) with p = (m + n)/2 the operator maps f
+    to explicit_eigenvalue(mu, r, p, k) * f pointwise.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -324,11 +300,10 @@ def _weighted_radial_eig(N, P_fun, V_fun, w_fun, count, domain, boundary=None, f
     A = -G^T diag(cw P) G - E^T diag(cw w V) E (+ boundary term),
     B = E^T diag(cw w) E, with E = Et^T and G = Gt^T mapped to the domain.
     Only the lower triangles of A and B are formed, each product by
-    `_gram`, which splits a weight that takes both signs (V for m < 0, or
-    a callable mu) into its positive and negative parts.  Node functions
-    before `first` are dropped (Dirichlet at the right end, or discarded
-    ones); `boundary` = (j, coeff) adds coeff to A[j, j] in the kept
-    numbering.  Returns the `count` largest eigenvalues, descending (fewer
+    `_gram`, which splits a weight that takes both signs (V for m < 0) into
+    its positive and negative parts.  Node functions before `first` are
+    dropped (Dirichlet at the right end, or discarded ones); `boundary` =
+    (j, coeff) adds coeff to A[j, j] in the kept numbering.  Returns the `count` largest eigenvalues, descending (fewer
     when the kept basis is smaller), by `_top_eigenvalues`.
     """
     _, xf, cw, Et, Gt = _galerkin_basis(N)
@@ -383,12 +358,8 @@ def compact_spectrum(op, R, bc="dirichlet", count=8, N=400):
     def w_fun(tt):
         return tt**alpha
 
-    if callable(op.mu):
-        def V_fun(tt):
-            return np.array([-op.coeffs(ti)[2] for ti in tt])
-    else:
-        def V_fun(tt):
-            return -op.coeffs(tt)[2]
+    def V_fun(tt):
+        return -op.coeffs(tt)[2]
 
     boundary = None
     first = 0
@@ -416,18 +387,7 @@ def compact_spectrum(op, R, bc="dirichlet", count=8, N=400):
         N, P_fun, V_fun, w_fun, count, (0.0, R**2), boundary=boundary, first=first
     )
     _require_count(eigs, count, N)
-    mu = None if callable(op.mu) else float(op.mu)
-    entries = [
-        {"value": float(v), "multiplicity": 1, "indices": {"r": i, "n": op.n, "m": op.m}}
-        for i, v in enumerate(eigs)
-    ]
-    return SpectrumRecord(
-        eigenvalues=entries,
-        bc=bc_name,
-        provenance="discretized",
-        operator={"k": op.k, "n": op.n, "m": op.m, "mu": mu},
-        domain={"R": float(R), "N": int(N)},
-    )
+    return _record(op, eigs, bc_name, {"R": float(R), "N": int(N)})
 
 
 def compact_upper_bound(op, bc="dirichlet"):
@@ -436,15 +396,13 @@ def compact_upper_bound(op, bc="dirichlet"):
     The Rayleigh quotient of the compact problem is
     (-int P f'^2 - int w V f^2 + boundary term) / int w f^2, and the
     boundary term is <= 0 for Dirichlet, Neumann and Robin A f' + B f = 0
-    with A B >= 0, so every eigenvalue is <= -min V.  For constant mu,
+    with A B >= 0, so every eigenvalue is <= -min V, and
     V(t) = 2 m mu + 4 mu^2 (1 + t/4) is smallest at t = 0 on any ball.
     Returns inf for Robin with A B < 0, where no such bound holds.
     """
-    if callable(op.mu):
-        raise ValueError("the min-max bound needs a constant mu")
     if isinstance(bc, (tuple, list)) and float(bc[1]) * float(bc[2]) < 0:
         return np.inf
-    mu = float(op.mu)
+    mu = op.mu
     return -(2.0 * op.m * mu + 4.0 * mu**2)
 
 
@@ -458,12 +416,12 @@ def fullspace_spectrum(op, T=60.0, N=400, count=8):
     [0, T] by the same measure-weighted symmetrization as the compact
     solver.  The L^2 eigenfunctions are polynomials, represented exactly
     on the Chebyshev grid; the truncation drops an e^{-T} tail uniformly
-    in mu.  Constant mu only.  Raises RuntimeError when fewer than `count`
-    eigenvalues remain.
+    in mu.  Raises ValueError at mu = 0, where the operator has no L^2
+    eigenvalues, and RuntimeError when fewer than `count` eigenvalues remain.
     """
-    if callable(op.mu):
-        raise ValueError("the full-space Galerkin solve needs a constant mu")
-    mu = float(op.mu)
+    mu = op.mu
+    if mu == 0:
+        raise ValueError("at mu = 0 the full-space operator has no L^2 eigenvalues")
     alpha = op.k // 2 + op.n - 1
     const = (4.0 * op.p + op.k) * mu + 4.0 * mu**2
 
@@ -486,55 +444,16 @@ def fullspace_spectrum(op, T=60.0, N=400, count=8):
     # modes of the truncated pencil land at positive values and are dropped
     lam = lam[lam < 1e-8][:count]
     _require_count(lam, count, N)
-    eigs = mu * lam - const
+    return _record(op, mu * lam - const, "none", {"T": float(T), "N": int(N)})
+
+
+def _record(op, eigs, bc, domain):
+    """SpectrumRecord of the discretized eigenvalues of op, indexed by r."""
     entries = [
         {"value": float(v), "multiplicity": 1, "indices": {"r": i, "n": op.n, "m": op.m}}
         for i, v in enumerate(eigs)
     ]
-    return SpectrumRecord(
-        eigenvalues=entries,
-        bc="none",
-        provenance="discretized",
-        operator={"k": op.k, "n": op.n, "m": op.m, "mu": mu},
-        domain={"T": float(T), "N": int(N)},
-    )
-
-
-def shooting_eigenvalue(op, R, bc="dirichlet", near=None, span=8.0):
-    """Shooting cross-check: root of the boundary functional in nu near `near`."""
-
-    def boundary_value(nu):
-        def rhs(t, y):
-            a2, a1, a0 = op.coeffs(t)
-            f, fp = y
-            if t == 0.0:
-                return [fp, 0.0]
-            return [fp, ((nu - a0) * f - a1 * fp) / a2]
-
-        # regular series start: a1 f'(0) + a0 f(0) = nu f(0), f(0) = 1
-        a2, a1, a0 = op.coeffs(0.0)
-        y0 = [1.0, (nu - a0) / a1]
-        t0 = 1e-8
-        sol = solve_ivp(rhs, (t0, R**2), y0, rtol=1e-10, atol=1e-12, dense_output=False)
-        f, fp = sol.y[0, -1], sol.y[1, -1]
-        if isinstance(bc, str) and bc.lower() == "dirichlet":
-            return f
-        if isinstance(bc, str) and bc.lower() == "neumann":
-            return fp
-        _, a_c, b_c = bc
-        return a_c * fp + b_c * f
-
-    if near is None:
-        raise ValueError("provide an eigenvalue guess")
-    lo, hi = near - span, near + span
-    grid = np.linspace(lo, hi, 81)
-    vals = [boundary_value(g) for g in grid]
-    for g1, g2, v1, v2 in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if np.sign(v1) != np.sign(v2):
-            if not (g1 <= near <= g2) and abs(0.5 * (g1 + g2) - near) > span / 2:
-                continue
-            return brentq(boundary_value, g1, g2, xtol=1e-10)
-    raise RuntimeError("no sign change near the requested eigenvalue")
+    return SpectrumRecord(entries, bc, "discretized", op.to_json_dict(), domain)
 
 
 # -- Z-ball Bessel eigenvalues ------------------------------------------------

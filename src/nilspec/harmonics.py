@@ -288,6 +288,12 @@ class HankelSpec:
         self.nu = int(nu)
 
 
+def _require_converged(err, erri):
+    """Raise when either part of a Hankel quadrature missed its error bound."""
+    if max(err, erri) > 1e-6:
+        raise RuntimeError(f"hankel quadrature did not converge (error {max(err, erri):.2e})")
+
+
 def hankel_transform(spec, r, radial):
     """H^(l)_nu of a radial profile, Bessel-kernel path.
 
@@ -310,6 +316,7 @@ def hankel_transform(spec, r, radial):
             return 0.0
         val, err = quad(lambda k: np.real(radial(k)) * k ** (l - 1), 0, np.inf, epsabs=HANKEL_TOL)
         vali, erri = quad(lambda k: np.imag(radial(k)) * k ** (l - 1), 0, np.inf, epsabs=HANKEL_TOL)
+        _require_converged(err, erri)
         const = (2.0 * np.pi) ** (l / 2.0) / (2.0 ** (l / 2.0 - 1.0) * gamma(l / 2.0))
         return const * (val + 1j * vali)
 
@@ -321,8 +328,7 @@ def hankel_transform(spec, r, radial):
 
     val, err = quad(kernel_re, 0, np.inf, epsabs=HANKEL_TOL, limit=400)
     vali, erri = quad(kernel_im, 0, np.inf, epsabs=HANKEL_TOL, limit=400)
-    if max(err, erri) > 1e-6:
-        raise RuntimeError(f"hankel quadrature did not converge (error {max(err, erri):.2e})")
+    _require_converged(err, erri)
     front = (2.0 * np.pi) ** (l / 2.0) * (1j**nu) * r ** (1.0 - l / 2.0)
     return front * (val + 1j * vali)
 

@@ -68,8 +68,6 @@ UNCALLED_ALLOWED = {
     "verify_isomorphism": "ROADMAP item 5 gives it a caller in the classification suite",
     "canonical_swap_witness": "ROADMAP item 5 decides whether it stays",
     "laplacian_apply": "ROADMAP item 4 gives it a caller in the isospectrality cross-check",
-    "shooting_eigenvalue": "test oracle: the compact-solver tests compare against it",
-    "radial_apply": "test oracle: the tests check the scaled eigenfunctions and Laguerre identity with it",
 }
 
 

@@ -88,6 +88,11 @@ _MALFORMED = [
     ("spectrum", {**_G1, "operator": {"mode": "compact", "strata": [[1, 0]]}}),
     ("spectrum", {**_G1, "operator": {"mode": "fullspace", "n": -1}}),
     ("spectrum", {**_G1, "operator": {"mode": "explicit", "r_max": "a"}}),
+    # mu < 0 has no meaning; at mu = 0 the full-space operator has no L^2 eigenvalues
+    ("spectrum", {**_G1, "operator": {"mode": "fullspace", "mu": -1, "n": 1, "m": 1}}),
+    ("spectrum", {**_G1, "operator": {"mode": "explicit", "mu": -1}}),
+    ("spectrum", {**_G1, "operator": {"mode": "fullspace", "mu": 0, "n": 1, "m": 1}}),
+    ("spectrum", {**_G1, "operator": {"mode": "explicit", "mu": 0}}),
     ("spectrum", {**_G1, "operator": {"mode": "wrong"}}),
     ("waves", {"hbar": -1}),
     ("waves", {"c": "fast"}),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nilspec import clifford
 from nilspec.clifford import (
     CliffordModule,
     SizeCapExceeded,
@@ -67,14 +68,15 @@ def test_build_generators_deterministic():
         assert np.array_equal(ga, gb)
 
 
-def test_build_generators_cached_and_read_only():
+def test_build_generators_cached_and_read_only(monkeypatch):
     mod = build_generators(5)
     assert build_generators(5) is mod
     with pytest.raises(ValueError):
         mod.generators[0][0, 0] = 7
-    # the size cap is checked before the cache is consulted
-    with pytest.raises(SizeCapExceeded):
-        build_generators(5, size_cap=4)
+    # the size cap is read at each call, before the cache is consulted
+    monkeypatch.setattr(clifford, "DEFAULT_SIZE_CAP", 4)
+    with pytest.raises(SizeCapExceeded, match="exceeds size cap 4"):
+        build_generators(5)
 
 
 def test_module_keeps_its_checked_generators():

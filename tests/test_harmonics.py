@@ -203,6 +203,16 @@ def test_hankel_gaussian_l3():
         assert got == pytest.approx((2.0 * np.pi) ** 1.5 * np.exp(-(r**2) / 2.0), rel=1e-10)
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_hankel_divergent_profile_raises():
+    # 1/(1+k)^2 is not integrable against k^2 dk: r = 0 must refuse it as r > 0 does
+    spec = HankelSpec(3, 0)
+    assert hankel_transform(spec, 0.0, radial=gaussian) == pytest.approx((2.0 * np.pi) ** 1.5, rel=1e-10)
+    for r in (0.0, 0.5):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            hankel_transform(spec, r, radial=lambda k: 1.0 / (1.0 + k) ** 2)
+
+
 def test_hankel_zero_profile():
     assert hankel_transform(HankelSpec(4, 1), 1.0, radial=lambda k: 0.0 * k) == 0.0
 
