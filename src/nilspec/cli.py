@@ -26,6 +26,7 @@ from .algebra import htype_group, TwoStepAlgebra
 from .clifford import SizeCapExceeded
 from .geometry import SolvableExtension, curvature_report
 from .glz import (
+    _T_MAX,
     RadialGLZOperator,
     compact_spectrum,
     compact_upper_bound,
@@ -168,7 +169,7 @@ def _is_bc(v):
     if isinstance(v, str):
         return v.lower() in ("dirichlet", "neumann")
     return (isinstance(v, list) and len(v) == 3 and isinstance(v[0], str) and v[0].lower() == "robin"
-            and all(_is_number(c) for c in v[1:]))
+            and all(_is_number(c) for c in v[1:]) and (v[1], v[2]) != (0, 0))
 
 
 _KINDS = {  # kind: (test, description)
@@ -177,7 +178,7 @@ _KINDS = {  # kind: (test, description)
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "mode": (lambda v: v in ("explicit", "fullspace", "compact"), 'one of "explicit", "fullspace", "compact"'),
-    "bc": (_is_bc, '"dirichlet", "neumann" or ["robin", A, B]'),
+    "bc": (_is_bc, '"dirichlet", "neumann" or ["robin", A, B], A and B not both 0'),
     "strata": (lambda v: isinstance(v, list) and len(v) > 0 and all(
         isinstance(s, list) and len(s) == 2 and all(map(_is_int, s)) for s in v
     ), "a non-empty list of [n, m] integer pairs"),
@@ -185,7 +186,9 @@ _KINDS = {  # kind: (test, description)
                  f"a list of report sections out of {sorted(_REPORT_SOURCES)}"),
 }
 
-# Every config key: (kind, default, range), the range "> 0", ">= 0" or None.
+_T_RANGE = f"> 0 and <= {_T_MAX:g}"  # fullspace_spectrum's own limit
+
+# Every config key: (kind, default, range), the range a key of _RANGES or None.
 # The library objects built from the values (groups, radial operators,
 # solvable extensions, physical constants) make their own checks, which
 # _build turns into config errors.
@@ -211,7 +214,7 @@ _KEYS = {
     "domain.bc": ("bc", "dirichlet", None),
     "domain.count": ("int", 5, "> 0"),
     "domain.N": ("int", 300, "> 0"),
-    "domain.T": ("number", 60.0, "> 0"),
+    "domain.T": ("number", 60.0, _T_RANGE),
     "q": ("number", 1.0, None),
     "perturb": ("bool", False, None),
     "ensure": ("sections", [], None),
@@ -220,7 +223,7 @@ _KEYS = {
     "m": ("number", 1.0, None),
 }
 
-_RANGES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0}
+_RANGES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, _T_RANGE: lambda v: 0 < v <= _T_MAX}
 
 _SECTIONS = {key.partition(".")[0] for key in _KEYS if "." in key}
 
@@ -517,7 +520,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:
+    # ArithmeticError covers OverflowError and FloatingPointError
+    except (np.linalg.LinAlgError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

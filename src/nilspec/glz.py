@@ -1,12 +1,14 @@
 """The radial Ginsburg-Landau-Zeeman operator and its spectra.
 
 Explicit Laguerre spectrum on the full X-space, discretized
-Dirichlet/Neumann/Robin spectra on X-balls (Chebyshev-Galerkin), and
-Z-ball Bessel eigenvalues.  Every stratum has one constant reduction
+Dirichlet/Neumann/Robin spectra on X-balls (Galerkin over the Lagrange
+basis of a Chebyshev grid, integrated by Gauss-Legendre), and Z-ball
+Bessel eigenvalues.  Every stratum has one constant reduction
 constant mu >= 0.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,7 +26,6 @@ __all__ = [
     "compact_spectrum",
     "compact_upper_bound",
     "fullspace_spectrum",
-    "clenshaw_curtis_weights",
     "zball_eigenvalues",
     "exterior_operator_eigenvalue",
     "chebyshev_nodes",
@@ -144,7 +145,7 @@ def scaled_eigenfunction(mu, r, n, k):
     return ScaledEigenfunction(mu, r, n, k)
 
 
-# -- Chebyshev-Galerkin discretization on [0, R^2] ---------------------------
+# -- Galerkin discretization on [0, R^2] -------------------------------------
 
 
 def chebyshev_nodes(N):
@@ -163,19 +164,6 @@ def chebyshev_diff(N):
     D = np.outer(c, 1.0 / c) / (dX + np.eye(N + 1))
     D -= np.diag(D.sum(axis=1))
     return x, D
-
-
-def clenshaw_curtis_weights(N):
-    """Quadrature weights on the Lobatto nodes for [-1, 1]."""
-    if N == 0:
-        return np.array([2.0])
-    theta = np.pi * np.arange(N + 1) / N
-    m = np.arange(1, N // 2 + 1)
-    factor = np.where(2 * m < N, 2.0, 1.0) / (4.0 * m**2 - 1.0)
-    w = np.empty(N + 1)
-    w[1:-1] = 2.0 * (1.0 - np.cos(np.outer(theta[1:-1], 2.0 * m)) @ factor) / N
-    w[0] = w[N] = 1.0 / (N**2 - 1.0 + (N % 2))
-    return w
 
 
 def _barycentric_interp(x_from, x_to):
@@ -198,53 +186,43 @@ def _barycentric_interp(x_from, x_to):
     return M
 
 
-# bases kept at once; a radial sweep uses a handful of grid sizes
+# bases kept at once: a radial sweep uses a few grid sizes, two rules each
 _BASIS_CACHE_SIZE = 8
 
 
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
-def _galerkin_basis(N):
+def _galerkin_basis(N, nq):
     """Read-only arrays of the order-N Galerkin basis on [-1, 1].
 
-    Returns (x, xf, cwf, Et, Gt): the Lobatto nodes, the refined
-    Clenshaw-Curtis nodes and weights (2N + 8 intervals, exact for the
-    product of two degree-N node functions and a polynomial weight of
-    degree up to 8), and the node functions and their derivatives at xf,
-    one C-contiguous row per node function: Et is the transposed
-    interpolation matrix from x to xf and Gt = D^T Et.  Chebyshev nodes
-    map affinely, so one basis serves every domain.
+    Returns (x, xq, wq, Et, Gt): the Lobatto nodes, the nq-point
+    Gauss-Legendre nodes and weights (Golub & Welsch 1969; exact for
+    polynomials of degree 2 nq - 1), and the node functions and their
+    derivatives at xq, one C-contiguous row per node function: Et is the
+    transposed interpolation matrix from x to xq and Gt = D^T Et.  Both
+    rules map affinely, so one basis serves every domain.
     """
     x, D = chebyshev_diff(N)
-    xf = chebyshev_nodes(2 * N + 8)
-    cwf = clenshaw_curtis_weights(2 * N + 8)
+    xq, wq = np.polynomial.legendre.leggauss(nq)
     # interpolate in ascending order, then store one row per node function
-    Et = np.ascontiguousarray(_barycentric_interp(x[::-1], xf[::-1])[::-1, ::-1].T)
+    Et = np.ascontiguousarray(_barycentric_interp(x[::-1], xq)[:, ::-1].T)
     Gt = D.T @ Et
-    for arr in (x, xf, cwf, Et, Gt):
+    for arr in (x, xq, wq, Et, Gt):
         arr.flags.writeable = False
-    return x, xf, cwf, Et, Gt
+    return x, xq, wq, Et, Gt
 
 
 def _gram(Xt, c):
-    """Lower triangle of Xt diag(c) Xt^T (upper triangle zero), by dsyrk.
+    """Lower triangle of Xt diag(c) Xt^T (upper triangle zero), by one dsyrk.
 
-    The points where c > 0 and where c < 0 each go through one rank-k
-    update, c = c+ - c-; points with c = 0 drop out.
+    The weights must be >= 0: the rows are scaled by sqrt(c).
     """
     from scipy.linalg.blas import dsyrk
 
-    n = Xt.shape[0]
-    G = np.zeros((n, n), order="F")
-    for sign in (1.0, -1.0):
-        cols = np.flatnonzero(sign * c > 0)
-        # BLAS rejects a rank-0 update (leading dimension 0)
-        if cols.size:
-            # np.take keeps Y C-contiguous (Xt[:, cols] would not), so Y.T is
-            # Fortran-ordered and f2py hands it to BLAS without a copy
-            Y = np.take(Xt, cols, axis=1)
-            Y *= np.sqrt(sign * c[cols])
-            G = dsyrk(sign, Y.T, beta=1.0, c=G, trans=1, lower=1, overwrite_c=1)
-    return G
+    if not (c >= 0).all():
+        raise ValueError("Gram weights must be >= 0")
+    # Y.T is Fortran-ordered, so f2py hands it to BLAS without a copy
+    Y = Xt * np.sqrt(c)
+    return dsyrk(1.0, Y.T, trans=1, lower=1)
 
 
 # absolute bisection tolerance of dstebz: 2 * safmin makes each eigenvalue
@@ -290,32 +268,35 @@ def _check_lapack(name, info):
         raise RuntimeError(f"radial eigensolve failed; LAPACK {name} info {info}")
 
 
-def _weighted_radial_eig(N, P_fun, V_fun, w_fun, count, domain, boundary=None, first=0):
+def _weighted_radial_eig(N, nq, P_fun, w_fun, count, domain, V_fun=None, boundary=None, first=0):
     """Eigenvalues of (1/w)(P f')' - V f by the symmetric Galerkin form.
 
     The Lagrange node basis of the order-N Chebyshev grid on `domain`
-    (descending nodes) is integrated on the refined Clenshaw-Curtis grid of
-    `_galerkin_basis`, so the stiffness and mass integrals are
-    quadrature-exact for the polynomial weights:
-    A = -G^T diag(cw P) G - E^T diag(cw w V) E (+ boundary term),
-    B = E^T diag(cw w) E, with E = Et^T and G = Gt^T mapped to the domain.
-    Only the lower triangles of A and B are formed, each product by
-    `_gram`, which splits a weight that takes both signs (V for m < 0) into
-    its positive and negative parts.  Node functions before `first` are
-    dropped (Dirichlet at the right end, or discarded ones); `boundary` =
-    (j, coeff) adds coeff to A[j, j] in the kept numbering.  Returns the `count` largest eigenvalues, descending (fewer
-    when the kept basis is smaller), by `_top_eigenvalues`.
+    (descending nodes) is integrated on the nq-point Gauss-Legendre rule of
+    `_galerkin_basis`: A = -G^T diag(cw P) G - E^T diag(cw w V) E
+    (+ boundary term), B = E^T diag(cw w) E, with E = Et^T and G = Gt^T
+    mapped to the domain; V_fun = None means V = 0.  P, w and w V must be
+    >= 0.  Only the lower triangles of A and B are formed, each product by
+    `_gram`.  Node functions before `first` are dropped (Dirichlet at the
+    right end, or discarded ones); `boundary` = (j, coeff) adds coeff to
+    A[j, j] in the kept numbering.  Returns the `count` largest eigenvalues,
+    descending (fewer when the kept basis is smaller), by `_top_eigenvalues`.
     """
-    _, xf, cw, Et, Gt = _galerkin_basis(N)
+    _, xq, wq, Et, Gt = _galerkin_basis(N, nq)
     a, b = domain
     half = (b - a) / 2.0
-    tf = (xf + 1.0) * half + a
-    cwf = cw * half
+    tq = (xq + 1.0) * half + a
+    cw = wq * half
     Et = Et[first:]
-    wf = cwf * w_fun(tf)
-    # G = Gt^T / half: the chain-rule factor goes into the stiffness weights
-    A = _gram(Gt[first:], cwf * P_fun(tf) / -half**2)
-    A -= _gram(Et, wf * V_fun(tf))
+    with np.errstate(over="raise"):  # an overflowing weight raises, not inf in the pencil
+        wf = cw * w_fun(tq)
+        # G = Gt^T / half: the chain-rule factor goes into the stiffness weights
+        pf = cw * P_fun(tq) / half**2
+        vf = None if V_fun is None else wf * V_fun(tq)
+    A = _gram(Gt[first:], pf)
+    if vf is not None:
+        A += _gram(Et, vf)
+    np.negative(A, out=A)
     if boundary is not None:
         j, coeff = boundary
         A[j, j] += coeff
@@ -335,21 +316,31 @@ def _require_count(vals, count, N):
         raise RuntimeError(f"only {len(vals)} of {count} eigenvalues at N={N}; increase N")
 
 
+# Gauss points beyond N; the compact integrands have degree <= 2N + a + 1
+_QUAD_EXTRA = 8
+# largest full-space truncation T: e^{-T} stays a normal float
+_T_MAX = 700.0
+
+
 def compact_spectrum(op, R, bc="dirichlet", count=8, N=400):
     """Lowest eigenvalues of the radial operator on [0, R^2].
 
     Measure-weighted symmetrization on Chebyshev nodes: the operator is
     (1/w)(4 t^{a+1} f')' - V(t) f with weight w = t^a, a = k/2 + n - 1,
-    discretized as a symmetric Galerkin pair over the Lagrange node basis.
-    The condition at t = R^2 is Dirichlet (f = 0), Neumann (f' = 0,
-    natural) or ("robin", A, B) for A f' + B f = 0 with A^2 + B^2 = 1;
-    t = 0 needs no condition (the weighted flux vanishes, selecting the
-    regular branch).  Returns a SpectrumRecord ordered by closeness to
-    zero (the sequence 0 >= nu_1 > nu_2 > ... -> -inf).  Raises
-    RuntimeError when the grid has fewer than `count` eigenvalues.
+    discretized as a symmetric Galerkin pair over the Lagrange node basis
+    on N + 8 Gauss-Legendre points, exact for a <= 14.  Of V = c0 + mu^2 t
+    only mu^2 t is assembled; c0 = 2 m mu + 4 mu^2 is subtracted from the
+    eigenvalues, exactly.  The condition at t = R^2 is Dirichlet (f = 0),
+    Neumann (f' = 0, natural) or ("robin", A, B) for A f' + B f = 0, A and
+    B finite and not both 0; t = 0 needs no condition (the weighted flux
+    vanishes, selecting the regular branch).  Returns a SpectrumRecord
+    ordered by closeness to zero (the sequence 0 >= nu_1 > nu_2 > ... ->
+    -inf).  Raises RuntimeError when the grid has fewer than `count`
+    eigenvalues.
     """
-    if R <= 0 or count < 1:
-        raise ValueError("need R > 0 and count >= 1")
+    if not (np.isfinite(R) and R > 0) or count < 1:
+        raise ValueError("need finite R > 0 and count >= 1")
+    R2 = float(R) ** 2  # raises OverflowError, not inf, for a huge R
     alpha = op.k // 2 + op.n - 1
 
     def P_fun(tt):
@@ -358,8 +349,10 @@ def compact_spectrum(op, R, bc="dirichlet", count=8, N=400):
     def w_fun(tt):
         return tt**alpha
 
+    mu2 = op.mu**2
+
     def V_fun(tt):
-        return -op.coeffs(tt)[2]
+        return mu2 * tt
 
     boundary = None
     first = 0
@@ -367,12 +360,14 @@ def compact_spectrum(op, R, bc="dirichlet", count=8, N=400):
         kind, a_c, b_c = bc[0].lower(), float(bc[1]), float(bc[2])
         if kind != "robin":
             raise ValueError("tuple condition must be ('robin', A, B)")
+        if not (np.isfinite(a_c) and np.isfinite(b_c)) or a_c == b_c == 0.0:
+            raise ValueError(f"Robin A and B must be finite and not both 0, got {bc[1]!r}, {bc[2]!r}")
         norm = np.hypot(a_c, b_c)
         a_c, b_c = a_c / norm, b_c / norm
         if abs(a_c) < 1e-13:
             first = 1
         else:
-            boundary = (0, -(b_c / a_c) * P_fun(R**2))
+            boundary = (0, -(b_c / a_c) * P_fun(R2))
         bc_name = f"robin({a_c:.6g},{b_c:.6g})"
     elif bc.lower() == "dirichlet":
         first = 1
@@ -382,12 +377,14 @@ def compact_spectrum(op, R, bc="dirichlet", count=8, N=400):
     else:
         raise ValueError(f"unknown boundary condition {bc!r}")
 
-    # node 0 is t = R^2
+    # node 0 is t = R^2; at mu = 0 there is no potential left to assemble
     eigs = _weighted_radial_eig(
-        N, P_fun, V_fun, w_fun, count, (0.0, R**2), boundary=boundary, first=first
+        N, N + _QUAD_EXTRA, P_fun, w_fun, count, (0.0, R2),
+        V_fun=V_fun if mu2 else None, boundary=boundary, first=first,
     )
     _require_count(eigs, count, N)
-    return _record(op, eigs, bc_name, {"R": float(R), "N": int(N)})
+    c0 = 2.0 * op.m * op.mu + 4.0 * mu2
+    return _record(op, eigs - c0, bc_name, {"R": float(R), "N": int(N)})
 
 
 def compact_upper_bound(op, bc="dirichlet"):
@@ -416,9 +413,14 @@ def fullspace_spectrum(op, T=60.0, N=400, count=8):
     [0, T] by the same measure-weighted symmetrization as the compact
     solver.  The L^2 eigenfunctions are polynomials, represented exactly
     on the Chebyshev grid; the truncation drops an e^{-T} tail uniformly
-    in mu.  Raises ValueError at mu = 0, where the operator has no L^2
-    eigenvalues, and RuntimeError when fewer than `count` eigenvalues remain.
+    in mu.  The Gauss-Legendre rule has N + 8 + ceil(T) points, since the
+    weight factor e^{-s} = e^{-T (x + 1) / 2} is no polynomial and needs
+    more points as T grows.  Raises ValueError unless 0 < T <= _T_MAX, and
+    at mu = 0 (no L^2 eigenvalues); RuntimeError when fewer than `count`
+    eigenvalues remain.
     """
+    if not (np.isfinite(T) and 0.0 < T <= _T_MAX):
+        raise ValueError(f"need 0 < T <= {_T_MAX:g}, got {T!r}")
     mu = op.mu
     if mu == 0:
         raise ValueError("at mu = 0 the full-space operator has no L^2 eigenvalues")
@@ -431,15 +433,13 @@ def fullspace_spectrum(op, T=60.0, N=400, count=8):
     def w_fun(ss):
         return ss**alpha * np.exp(-ss)
 
-    def V_fun(ss):
-        return np.zeros(np.shape(ss))
-
+    nq = N + _QUAD_EXTRA + math.ceil(T)
     # drop node functions in the region where the weight has decayed away
     # (the nodes descend from s = T, so they are a leading block); keeps the
     # mass matrix well conditioned, at an exponentially small cost
-    x = _galerkin_basis(N)[0]
+    x = _galerkin_basis(N, nq)[0]
     first = int(np.argmax((x + 1.0) * (T / 2.0) < 48.0))
-    lam = _weighted_radial_eig(N, P_fun, V_fun, w_fun, count + 4, (0.0, T), first=first)
+    lam = _weighted_radial_eig(N, nq, P_fun, w_fun, count + 4, (0.0, T), first=first)
     # the scaled operator is negative semidefinite; spurious near-null-mass
     # modes of the truncated pencil land at positive values and are dropped
     lam = lam[lam < 1e-8][:count]

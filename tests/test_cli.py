@@ -48,6 +48,8 @@ def test_non_finite_result_is_numerical_failure(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("command, config", [
     ("spectrum", {"group": {"l": 1}, "operator": {"mode": "compact"}, "domain": {"bc": "wrong", "N": 40}}),
     ("spectrum", {"group": {"l": 1}, "operator": {"mode": "compact"}, "domain": {"bc": ["robin", "a", 1]}}),
+    ("spectrum", {"group": {"l": 1}, "operator": {"mode": "compact"}, "domain": {"bc": ["robin", 0, 0]}}),
+    ("isospec", {"pair": {"l": 1}, "operator": {"n_max": 0}, "domain": {"bc": ["robin", 0.0, -0.0]}}),
     ("isospec", {"pair": {"l": 1}, "operator": {"n_max": 0}, "domain": {"bc": "wrong", "N": 40}}),
 ])
 def test_unknown_boundary_condition_is_config_error(tmp_path, capsys, command, config):
@@ -87,6 +89,9 @@ _MALFORMED = [
     ("spectrum", {**_G1, "operator": {"mode": "compact", "strata": [[0]]}}),
     ("spectrum", {**_G1, "operator": {"mode": "compact", "strata": [[1, 0]]}}),
     ("spectrum", {**_G1, "operator": {"mode": "fullspace", "n": -1}}),
+    # fullspace_spectrum's range of T: a larger T would size its quadrature rule
+    *[("spectrum", {**_G1, "operator": {"mode": "fullspace", "n": 0}, "domain": {"T": T}})
+      for T in (0, -1.0, 700.5, 1e300)],
     ("spectrum", {**_G1, "operator": {"mode": "explicit", "r_max": "a"}}),
     # mu < 0 has no meaning; at mu = 0 the full-space operator has no L^2 eigenvalues
     ("spectrum", {**_G1, "operator": {"mode": "fullspace", "mu": -1, "n": 1, "m": 1}}),
@@ -265,12 +270,29 @@ def test_spectrum_above_minmax_bound_is_numerical_failure(tmp_path, monkeypatch)
     assert run_cli(["isospec", "--config", str(cfg), "--out", str(tmp_path / "i")]) == 3
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no warning line besides the message
+@pytest.mark.parametrize("group, bc", [
+    ({"l": 1}, "dirichlet"),  # a weight of the pencil overflows (numpy)
+    ({"l": 1, "a": 4}, ["robin", 1.0, 1.0]),  # the Robin term overflows (Python float)
+])
+def test_overflow_is_numerical_failure(tmp_path, capsys, group, bc):
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({"group": group, "operator": {"mode": "compact"},
+                               "domain": {"R2": 1e300, "bc": bc, "count": 3, "N": 40}}))
+    out = tmp_path / "s"
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("numerical failure:")
+    assert not (out / "spectrum.json").exists()
+
+
 def test_default_isospec_names_the_failing_stratum(tmp_path, capsys):
-    # the default pair reaches the (n=2, m=-2) Dirichlet stratum, whose
-    # scaled mass matrix is numerically singular
+    # the default pair reaches the (n=1, m=-1) Dirichlet stratum, whose
+    # numerically singular mass matrix gives a spurious positive eigenvalue
     assert run_cli(["isospec", "--out", str(tmp_path / "i")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: stratum (n=2, m=-2, bc=dirichlet): radial eigensolve failed")
+    assert err.startswith("numerical failure: stratum (n=1, m=-1, bc=dirichlet): eigenvalue 5578.61 "
+                          "above the min-max bound -2")
     assert not (tmp_path / "i" / "isospec.json").exists()
 
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import mpmath
@@ -18,7 +19,6 @@ from nilspec.glz import (
     _top_eigenvalues,
     chebyshev_diff,
     chebyshev_nodes,
-    clenshaw_curtis_weights,
     compact_spectrum,
     compact_upper_bound,
     explicit_eigenvalue,
@@ -197,6 +197,65 @@ def test_fullspace_spectrum_matches_explicit():
     assert np.abs(rec.values() - expect).max() < 1e-8
 
 
+def _fullspace_error(T, N, count):
+    """Worst error of the k = 8, n = 1 (a = 4) full-space values against
+    the closed form, relative to max(1, |value|)."""
+    op = RadialGLZOperator(8, 1, 1, 1.0)
+    got = fullspace_spectrum(op, T=T, N=N, count=count).values()
+    ref = np.array([explicit_eigenvalue(1.0, r, op.p, op.k) for r in range(count)])
+    return np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))
+
+
+# at T = 30 the truncation alone costs ~6e-6 from r = 2 on
+@pytest.mark.parametrize("T, count", [(30.0, 2), (60.0, 5), (120.0, 5)])
+@pytest.mark.parametrize("N", [100, 400])
+def test_fullspace_rule_grows_with_T(T, count, N):
+    assert _fullspace_error(T, N, count) < 1e-6
+
+
+def test_fullspace_rule_without_T_term_fails(monkeypatch):
+    # negative control: N + 8 points are exact for a polynomial weight, but
+    # not for e^{-s} on [0, 60]; spurious values enter the spectrum
+    basis = glz._galerkin_basis
+    monkeypatch.setattr(glz, "_galerkin_basis", lambda N, nq: basis(N, N + 8))
+    assert _fullspace_error(60.0, 400, 5) > 1e-3
+
+
+@pytest.mark.parametrize("T", [float("nan"), float("inf"), 0.0, -1.0, 700.5, 1e300])
+def test_fullspace_spectrum_refuses_bad_T(monkeypatch, T):
+    def no_basis(N, nq):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(glz, "_galerkin_basis", no_basis)
+    with pytest.raises(ValueError, match="need 0 < T <= 700"):
+        fullspace_spectrum(RadialGLZOperator(2, 0, 0, 1.0), T=T, N=40, count=2)
+
+
+def test_fullspace_spectrum_at_T_max():
+    rec = fullspace_spectrum(RadialGLZOperator(2, 0, 0, 1.0), T=glz._T_MAX, N=100, count=2)
+    assert np.abs(rec.values() - [-6.0, -10.0]).max() < 1e-8
+
+
+@pytest.mark.parametrize("R", [float("nan"), float("inf"), 0.0, -1.0])
+def test_compact_spectrum_refuses_bad_radius(R):
+    with pytest.raises(ValueError, match="need finite R > 0"):
+        compact_spectrum(RadialGLZOperator(2, 0, 0, 1.0), R, count=2, N=40)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("R", [1e200, np.float64(1e200), 1e150])
+def test_compact_spectrum_overflow_raises(R):
+    # R^2 overflows (a Python or a numpy float), or a weight of the pencil does
+    with pytest.raises(ArithmeticError):
+        compact_spectrum(RadialGLZOperator(2, 0, 0, 1.0), R, count=2, N=40)
+
+
+@pytest.mark.parametrize("A, B", [(0, 0), (0.0, -0.0), (float("nan"), 1.0), (1.0, float("inf"))])
+def test_compact_spectrum_refuses_bad_robin(A, B):
+    with pytest.raises(ValueError, match="Robin A and B must be finite and not both 0"):
+        compact_spectrum(RadialGLZOperator(2, 0, 0, 1.0), 2.0, ("robin", A, B), count=2, N=40)
+
+
 def test_spectrum_depends_on_p_and_r_only():
     # (n, m) = (2, 0) and (1, 1) share p = 1: identical spectra
     rec_a = fullspace_spectrum(RadialGLZOperator(4, 2, 0, 1.0), T=60.0, N=200, count=3)
@@ -259,19 +318,6 @@ def test_import_loads_no_scipy_integrate():
     assert out.split() == ["False", "True"]
 
 
-def _clenshaw_curtis_loop(N):
-    """Reference: the weights summed one frequency at a time."""
-    theta = np.pi * np.arange(N + 1) / N
-    w = np.zeros(N + 1)
-    v = np.ones(N - 1)
-    for m in range(1, N // 2 + 1):
-        factor = 2.0 if 2 * m < N else 1.0
-        v -= factor * np.cos(2.0 * m * theta[1:-1]) / (4.0 * m**2 - 1.0)
-    w[1:-1] = 2.0 * v / N
-    w[0] = w[N] = 1.0 / (N**2 - 1.0 + (N % 2))
-    return w
-
-
 def _barycentric_loop(x_from, x_to):
     """Reference: the interpolation matrix built one target point at a time."""
     n = len(x_from) - 1
@@ -290,15 +336,23 @@ def _barycentric_loop(x_from, x_to):
     return M
 
 
-@pytest.mark.parametrize("M", [1, 2, 3, 8, 9, 208, 808, 1608])
-def test_clenshaw_curtis_exact_for_degree_m(M):
-    x = chebyshev_nodes(M)
-    w = clenshaw_curtis_weights(M)
-    for j in range(M + 1):
+def _gauss_remainder(n):
+    """Exact error of the n-point Gauss-Legendre rule on x^(2n):
+    2^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^2)."""
+    return float(Fraction(2 ** (2 * n + 1) * factorial(n) ** 4, (2 * n + 1) * factorial(2 * n) ** 2))
+
+
+@pytest.mark.parametrize("nq", [1, 5, 9, 16, 108, 808])
+def test_gauss_rule_exact_to_degree_2nq_minus_1(nq):
+    _, xq, wq, _, _ = _galerkin_basis(4, nq)
+    for j in range(2 * nq):
         exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
-        assert abs(w @ x**j - exact) < 1e-14, j
-    # same weights as the loop form, up to the summation order
-    assert np.abs(w - _clenshaw_curtis_loop(M)).max() <= 4 * np.finfo(float).eps
+        assert abs(wq @ xq**j - exact) < 1e-13, j
+    # control: degree 2 nq is the first the rule misses, by the Gauss
+    # remainder (below rounding once nq > 16)
+    if nq <= 16:
+        miss = 2.0 / (2 * nq + 1) - wq @ xq ** (2 * nq)
+        assert abs(miss - _gauss_remainder(nq)) < 1e-6 * _gauss_remainder(nq)
 
 
 def test_barycentric_interp_reproduces_polynomials():
@@ -320,19 +374,20 @@ def test_barycentric_interp_reproduces_polynomials():
 
 
 def test_galerkin_basis_cached_read_only():
-    N = 40
-    first = _galerkin_basis(N)
-    again = _galerkin_basis(N)
+    N, nq = 40, 48
+    first = _galerkin_basis(N, nq)
+    again = _galerkin_basis(N, nq)
     assert all(a is b for a, b in zip(first, again))
-    x, xf, cwf, Et, Gt = first
+    assert _galerkin_basis(N, nq + 1)[1] is not first[1]
+    x, xq, wq, Et, Gt = first
     for arr in first:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
-    assert len(x) == N + 1 and len(xf) == 2 * N + 9
+    assert len(x) == N + 1 and len(xq) == len(wq) == nq
     for arr in (Et, Gt):
-        assert arr.flags.c_contiguous and arr.shape == (N + 1, 2 * N + 9)
-    assert abs(cwf.sum() - 2.0) < 1e-14
+        assert arr.flags.c_contiguous and arr.shape == (N + 1, nq)
+    assert abs(wq.sum() - 2.0) < 1e-14
 
 
 def _gram_error(Xt, c):
@@ -342,38 +397,22 @@ def _gram_error(Xt, c):
     return np.abs(got - dense).max() / np.abs(dense).max()
 
 
-_GRAM_WEIGHTS = {
-    "positive": lambda c: np.abs(c),
-    "mixed": lambda c: c,
-    "negative": lambda c: -np.abs(c),
-}
-
-
-@pytest.mark.parametrize("sign", sorted(_GRAM_WEIGHTS))
-def test_gram_matches_dense_lower_triangle(sign):
+def test_gram_matches_dense_lower_triangle():
     rng = np.random.default_rng(16)
     Xt = rng.standard_normal((9, 31))
-    c = _GRAM_WEIGHTS[sign](rng.standard_normal(31))
+    c = np.abs(rng.standard_normal(31))
     assert _gram_error(Xt, c) < 1e-13
     assert not np.triu(_gram(Xt, c), 1).any()
 
 
-def test_gram_without_negative_part_fails(monkeypatch):
-    # negative control: a Gram product that drops the c- rank update
-    import scipy.linalg.blas
-
-    dsyrk = scipy.linalg.blas.dsyrk
-
-    def positive_only(alpha, a, **kw):
-        return kw["c"] if alpha < 0 else dsyrk(alpha, a, **kw)
-
-    monkeypatch.setattr(scipy.linalg.blas, "dsyrk", positive_only)
+@pytest.mark.parametrize("bad", [-1e-300, -1.0, float("nan")])
+def test_gram_refuses_negative_weight(bad):
     rng = np.random.default_rng(16)
     Xt = rng.standard_normal((9, 31))
-    c = rng.standard_normal(31)
-    assert _gram_error(Xt, np.abs(c)) < 1e-13
-    for weight in (c, -np.abs(c)):
-        assert _gram_error(Xt, weight) > 1e-3
+    c = np.abs(rng.standard_normal(31))
+    c[7] = bad
+    with pytest.raises(ValueError, match="Gram weights must be >= 0"):
+        _gram(Xt, c)
 
 
 def test_gram_hands_scaled_rows_to_blas_without_a_copy():
@@ -392,28 +431,46 @@ def test_gram_hands_scaled_rows_to_blas_without_a_copy():
     assert peak < 1.25 * Xt.nbytes + G.nbytes
 
 
-def _dense_pencil(op, R, bc, N):
-    """The compact pencil (A, B) by dense products on the untransposed basis."""
+def _dense_pencil(op, R, bc, N, shift=True):
+    """The compact pencil (A, B) by dense products on the untransposed basis,
+    on the (N + 8)-point Gauss-Legendre rule.  V = c0 + mu^2 t goes into A
+    without its constant c0 = V(0) when `shift` (compact_spectrum subtracts
+    c0 from the eigenvalues instead), and whole otherwise."""
     x, D = chebyshev_diff(N)
-    xf = chebyshev_nodes(2 * N + 8)
-    cw = clenshaw_curtis_weights(2 * N + 8)
-    E = _barycentric_interp(x[::-1], xf[::-1])[::-1, ::-1]
+    xq, wq = np.polynomial.legendre.leggauss(N + 8)
+    E = _barycentric_interp(x, xq)
     G0 = E @ D
     a = op.k // 2 + op.n - 1
     half = R**2 / 2.0
-    tf = (xf + 1.0) * half
-    cwf = cw * half
-    P = 4.0 * tf ** (a + 1)
-    V = np.array([-op.coeffs(t)[2] for t in tf])
+    tq = (xq + 1.0) * half
+    cw = wq * half
+    P = 4.0 * tq ** (a + 1)
+    V = np.array([-op.coeffs(t)[2] for t in tq])
+    if shift:
+        V -= -op.coeffs(0.0)[2]  # c0 = V(0)
     first = 1 if bc == "dirichlet" else 0
     E, G0 = E[:, first:], G0[:, first:]
-    wf = cwf * tf**a
-    A = -(G0.T * (cwf * P / half**2)) @ G0 - (E.T * (wf * V)) @ E
+    wf = cw * tq**a
+    A = -(G0.T * (cw * P / half**2)) @ G0 - (E.T * (wf * V)) @ E
     if isinstance(bc, tuple):
         A[0, 0] -= (bc[2] / bc[1]) * 4.0 * R ** (2 * a + 2)
     B = (E.T * wf) @ E
     d = 1.0 / np.sqrt(np.diag(B))
     return A * np.outer(d, d), B * np.outer(d, d)
+
+
+def _jacobi_mass(op, R, bc, N, points):
+    """The Jacobi-scaled mass matrix on the Gauss-Jacobi rule of the weight
+    (1 + x)^a, int_0^{R^2} t^a l_i l_j dt = (R^2 / 2)^(a + 1) int (1 + x)^a
+    l_i l_j dx: an independent rule, exact for it from N + 1 points on."""
+    from scipy.special import roots_jacobi
+
+    a = op.k // 2 + op.n - 1
+    xj, wj = roots_jacobi(points, 0.0, a)
+    E = _barycentric_interp(chebyshev_nodes(N), xj)[:, (1 if bc == "dirichlet" else 0):]
+    B = (E.T * (wj * (R**2 / 2.0) ** (a + 1))) @ E
+    d = 1.0 / np.sqrt(np.diag(B))
+    return B * np.outer(d, d)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.7])
@@ -436,6 +493,29 @@ def test_compact_pencil_matches_dense_formula(monkeypatch, mu, bc):
     A_ref, B_ref = _dense_pencil(op, R, bc, N)
     for got, ref in ((A, A_ref), (B, B_ref)):
         assert np.abs(got - np.tril(ref)).max() < 1e-13 * np.abs(ref).max()
+    # B has unit diagonal; the two rules agree to rounding, and an N-point
+    # Jacobi rule (exact to degree 2N - 1 only) is the control
+    assert np.abs(B - np.tril(_jacobi_mass(op, R, bc, N, N + 2))).max() < 1e-12
+    assert np.abs(B - np.tril(_jacobi_mass(op, R, bc, N, N))).max() > 1e-3
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", ("robin", 0.6, 0.8)])
+def test_compact_shift_matches_potential_in_pencil(bc):
+    import scipy.linalg
+
+    # m < 0 and mu > 0: the constant c0 = 2 m mu + 4 mu^2 = -0.84 is not 0
+    op = RadialGLZOperator(4, 2, -2, 0.7)
+    N, R, count = 40, 1.7, 4
+    A, B = _dense_pencil(op, R, bc, N, shift=False)
+    ref = np.sort(scipy.linalg.eigh(A, B, eigvals_only=True))[::-1][:count]
+    got = compact_spectrum(op, R, bc, count=count, N=N).values()
+
+    def error(values):
+        return np.max(np.abs(values - ref) / np.maximum(1.0, np.abs(ref)))
+
+    assert error(got) < 1e-10
+    # negative control: the values without the shift
+    assert error(got + (2.0 * op.m * op.mu + 4.0 * op.mu**2)) > 1e-3
 
 
 def _definite_pencil(rng, n):
@@ -480,10 +560,9 @@ def test_top_eigenvalues_reports_symmetric_condition():
 
 
 def test_eigensolve_failure_reports_symmetric_condition():
-    # the (k=8, n=2, m=-2) Dirichlet stratum of the default isospec: its
-    # scaled mass matrix is numerically singular
+    # a k = 16 stratum (a = 7): its scaled mass matrix is numerically singular
     with pytest.raises(RuntimeError, match="scaled mass matrix condition"):
-        compact_spectrum(RadialGLZOperator(8, 2, -2, 1.0), 4.0, "dirichlet", count=5, N=220)
+        compact_spectrum(RadialGLZOperator(16, 0, 0, 1.0), 4.0, "dirichlet", count=5, N=100)
 
 
 def _neumann_bessel_error():
