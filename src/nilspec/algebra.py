@@ -40,6 +40,9 @@ class GroupElement:
         self.Z = np.asarray(self.Z, dtype=float)
 
 
+HTYPE_TOL = 1e-10  # largest htype_residual that is_h_type accepts
+
+
 class TwoStepAlgebra:
     """Metric two-step nilpotent Lie algebra N = X-space + Z-space."""
 
@@ -100,9 +103,9 @@ class TwoStepAlgebra:
             worst = max(worst, np.abs(J @ J + (Z @ Z) * eye).max())
         return worst
 
-    def is_h_type(self, samples=32, tol=1e-10, seed=0):
+    def is_h_type(self, samples=32, seed=0):
         res = self.htype_residual(samples=samples, seed=seed)
-        return res < tol, res
+        return res < HTYPE_TOL, res
 
     def to_json_dict(self):
         if self.space is not None:

@@ -26,6 +26,7 @@ from .algebra import htype_group, TwoStepAlgebra
 from .clifford import SizeCapExceeded
 from .geometry import SolvableExtension, curvature_report
 from .glz import (
+    _N_MAX,
     _T_MAX,
     RadialGLZOperator,
     compact_spectrum,
@@ -175,7 +176,6 @@ def _is_bc(v):
 _KINDS = {  # kind: (test, description)
     "int": (_is_int, "an integer"),
     "number": (_is_number, "a finite number"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "mode": (lambda v: v in ("explicit", "fullspace", "compact"), 'one of "explicit", "fullspace", "compact"'),
     "bc": (_is_bc, '"dirichlet", "neumann" or ["robin", A, B], A and B not both 0'),
@@ -186,7 +186,9 @@ _KINDS = {  # kind: (test, description)
                  f"a list of report sections out of {sorted(_REPORT_SOURCES)}"),
 }
 
-_T_RANGE = f"> 0 and <= {_T_MAX:g}"  # fullspace_spectrum's own limit
+# the ranges of the two solvers' own limits on N and T
+_N_RANGE = f">= 1 and <= {_N_MAX}"
+_T_RANGE = f"> 0 and <= {_T_MAX:g}"
 
 # Every config key: (kind, default, range), the range a key of _RANGES or None.
 # The library objects built from the values (groups, radial operators,
@@ -213,17 +215,17 @@ _KEYS = {
     "domain.R2": ("number", 40.0, "> 0"),
     "domain.bc": ("bc", "dirichlet", None),
     "domain.count": ("int", 5, "> 0"),
-    "domain.N": ("int", 300, "> 0"),
+    "domain.N": ("int", 300, _N_RANGE),
     "domain.T": ("number", 60.0, _T_RANGE),
     "q": ("number", 1.0, None),
-    "perturb": ("bool", False, None),
     "ensure": ("sections", [], None),
     "hbar": ("number", 1.0, None),
     "c": ("number", 1.0, None),
     "m": ("number", 1.0, None),
 }
 
-_RANGES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, _T_RANGE: lambda v: 0 < v <= _T_MAX}
+_RANGES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, _N_RANGE: lambda v: 1 <= v <= _N_MAX,
+           _T_RANGE: lambda v: 0 < v <= _T_MAX}
 
 _SECTIONS = {key.partition(".")[0] for key in _KEYS if "." in key}
 
@@ -312,7 +314,7 @@ def _compact(op, R, bc, count, N):
 
 def cmd_build_group(config, opts):
     alg = _load_group(config)
-    ok, residual = alg.is_h_type(samples=100, seed=opts.seed, tol=opts.tol or 1e-10)
+    ok, residual = alg.is_h_type(samples=100, seed=opts.seed)
     summary = {
         "kind": "build-group",
         "k": alg.k,
@@ -388,7 +390,7 @@ def cmd_spectrum(config, opts):
 def cmd_curvature(config, opts):
     alg = _load_group(config)
     ext = _build("q", SolvableExtension, alg, _setting(config, "q"))
-    report = curvature_report(alg, seed=opts.seed, tol=opts.tol or 1e-12)
+    report = curvature_report(alg, seed=opts.seed)
     scalar = ext.scalar_curvature()
     expect = -(alg.k / 4.0 + alg.l) * (alg.k + alg.l + 1.0) if ext.q == 1.0 else None
     result = {"kind": "curvature", "solvable_scalar": float(scalar),
@@ -401,7 +403,7 @@ def cmd_curvature(config, opts):
 
 
 def cmd_verify(config, opts):
-    results = run_all(only=opts.only, seed=opts.seed, perturb=_setting(config, "perturb"))
+    results = run_all(only=opts.only, seed=opts.seed)
     for suite, checks in results.items():
         for name, ok, detail in checks:
             text = f"{detail:.3e}" if isinstance(detail, float) else detail
@@ -417,6 +419,9 @@ def cmd_verify(config, opts):
     }
     _write(opts.out, "verify.json", canonical_json(payload) + "\n")
     return 0 if failed == 0 else 1
+
+
+ISOSPEC_TOL = 1e-6  # relative tolerance of each matched eigenvalue pair
 
 
 def cmd_isospec(config, opts):
@@ -440,13 +445,16 @@ def cmd_isospec(config, opts):
         for op_l, op_r in pairs:
             rl = _compact(op_l, R, bc, count, N)
             rr = _compact(op_r, R, bc, count, N)
-            rep = spectra_compare(rl, rr, tol=opts.tol or 1e-6)
+            rep = spectra_compare(rl, rr, tol=ISOSPEC_TOL)
             reports.append({"bc": bc, "n": op_l.n, "m": op_l.m, "report": rep})
     ok = all(r["report"]["isospectral"] for r in reports)
     result = {"kind": "isospec", "pairs": reports, "isospectral": ok}
     path = _write(opts.out, "isospec.json", canonical_json(result) + "\n")
     print(f"isospectral verdict: {ok} -> {path}")
     return 0 if ok else 1
+
+
+WAVES_TOL = 1e-5  # largest residual norm a waves check passes with
 
 
 def cmd_waves(config, opts):
@@ -463,7 +471,7 @@ def cmd_waves(config, opts):
         print(f"{name}: {val:.3e}")
     result = {"kind": "waves", "residual_norms": {k: float(v) for k, v in norms.items()}}
     _write(opts.out, "waves.json", canonical_json(result) + "\n")
-    bad = [k for k, v in norms.items() if v > (opts.tol or 1e-5)]
+    bad = [k for k, v in norms.items() if v > WAVES_TOL]
     return 0 if not bad else 1
 
 
@@ -504,7 +512,6 @@ def main(argv=None):
     parser.add_argument("--config", default=None, help="JSON or key=value config file")
     parser.add_argument("--out", default=None, help="output directory (env NILSPEC_OUT)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--only", default=None, help="restrict verify to one suite")
     opts = parser.parse_args(argv)
     opts.out = Path(opts.out or os.environ.get("NILSPEC_OUT", "nilspec-out"))
@@ -514,6 +521,8 @@ def main(argv=None):
         for key in _KEYS:  # every key present is checked before any computation
             _setting(config, key)
         _check_names(config)  # after the loop, which checks that each section is a dict
+        if opts.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {opts.seed}")
         if opts.only and opts.only not in SUITES:
             raise ConfigError(f"unknown suite {opts.only!r}")
         return COMMANDS[opts.command](config, opts)

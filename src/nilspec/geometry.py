@@ -363,12 +363,15 @@ class SolvableExtension:
         return g, ginv
 
 
-def curvature_report(alg, samples=20, seed=0, tol=1e-12):
+CURVATURE_TOL = 1e-12  # each residual of curvature_report is flagged against this
+
+
+def curvature_report(alg, samples=20, seed=0):
     """Sampled curvature data with symmetry residuals, JSON-ready.
 
     Evaluates R(U,V)W and Ric on random invariant vectors, records the
     worst pair-symmetry / antisymmetry / first-Bianchi residuals and the
-    closed-vs-trace Ricci agreement, and flags each against tol.
+    closed-vs-trace Ricci agreement, and flags each against CURVATURE_TOL.
     """
     k, l = alg.k, alg.l
     # row s holds the X then Z parts of U, V, W, S: the same stream as drawing
@@ -406,8 +409,8 @@ def curvature_report(alg, samples=20, seed=0, tol=1e-12):
         "scalar_curvature": scalar_curvature(alg),
         "sample_riemann": sample_tensor,
         "residuals": worst,
-        "within_tol": {name: bool(v < tol) for name, v in worst.items()},
-        "tol": tol,
+        "within_tol": {name: bool(v < CURVATURE_TOL) for name, v in worst.items()},
+        "tol": CURVATURE_TOL,
     }
 
 
@@ -418,7 +421,7 @@ def hubble_scaling(ext, curve_type, length, tau):
     """
     if length < 0:
         raise ValueError("length must be >= 0")
-    q = ext.q if hasattr(ext, "q") else float(ext)
+    q = ext.q
     kind = str(curve_type).upper()
     if kind == "X":
         return length * np.exp(q * tau / 2.0)

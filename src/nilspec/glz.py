@@ -320,6 +320,17 @@ def _require_count(vals, count, N):
 _QUAD_EXTRA = 8
 # largest full-space truncation T: e^{-T} stays a normal float
 _T_MAX = 700.0
+# largest grid order N (the largest any caller uses is 800): a solve holds
+# O(N^2) doubles, the cached basis two (N + 1) x nq arrays and the pencil two
+# (N + 1)^2 ones, about 0.14 GB at N = 2048 on a ball
+_N_MAX = 2048
+
+
+def _check_order(N):
+    """Raise ValueError, before anything is allocated, unless N is an
+    integer with 1 <= N <= _N_MAX."""
+    if not (isinstance(N, (int, np.integer)) and 1 <= N <= _N_MAX):
+        raise ValueError(f"need an integer N with 1 <= N <= {_N_MAX}, got {N!r}")
 
 
 def compact_spectrum(op, R, bc="dirichlet", count=8, N=400):
@@ -335,11 +346,12 @@ def compact_spectrum(op, R, bc="dirichlet", count=8, N=400):
     B finite and not both 0; t = 0 needs no condition (the weighted flux
     vanishes, selecting the regular branch).  Returns a SpectrumRecord
     ordered by closeness to zero (the sequence 0 >= nu_1 > nu_2 > ... ->
-    -inf).  Raises RuntimeError when the grid has fewer than `count`
-    eigenvalues.
+    -inf).  Raises ValueError unless 1 <= N <= _N_MAX, and RuntimeError
+    when the grid has fewer than `count` eigenvalues.
     """
     if not (np.isfinite(R) and R > 0) or count < 1:
         raise ValueError("need finite R > 0 and count >= 1")
+    _check_order(N)
     R2 = float(R) ** 2  # raises OverflowError, not inf, for a huge R
     alpha = op.k // 2 + op.n - 1
 
@@ -415,12 +427,13 @@ def fullspace_spectrum(op, T=60.0, N=400, count=8):
     on the Chebyshev grid; the truncation drops an e^{-T} tail uniformly
     in mu.  The Gauss-Legendre rule has N + 8 + ceil(T) points, since the
     weight factor e^{-s} = e^{-T (x + 1) / 2} is no polynomial and needs
-    more points as T grows.  Raises ValueError unless 0 < T <= _T_MAX, and
-    at mu = 0 (no L^2 eigenvalues); RuntimeError when fewer than `count`
-    eigenvalues remain.
+    more points as T grows.  Raises ValueError unless 0 < T <= _T_MAX and
+    1 <= N <= _N_MAX, and at mu = 0 (no L^2 eigenvalues); RuntimeError
+    when fewer than `count` eigenvalues remain.
     """
     if not (np.isfinite(T) and 0.0 < T <= _T_MAX):
         raise ValueError(f"need 0 < T <= {_T_MAX:g}, got {T!r}")
+    _check_order(N)
     mu = op.mu
     if mu == 0:
         raise ValueError("at mu = 0 the full-space operator has no L^2 eigenvalues")

@@ -92,14 +92,15 @@ def spectra_compare(left, right, tol=1e-8):
     """Pair two spectrum records; returns a report dict.
 
     Values are expanded by multiplicity, sorted, and matched within tol;
-    mismatches and a length defect are reported rather than raised.
+    a NaN on either side is a mismatch.  Mismatches and a length defect
+    are reported rather than raised.
     """
     lv = _expanded(left)
     rv = _expanded(right)
     n = min(len(lv), len(rv))
     mismatches = []
     for i in range(n):
-        if abs(lv[i] - rv[i]) > tol * max(1.0, abs(lv[i])):
+        if not abs(lv[i] - rv[i]) <= tol * max(1.0, abs(lv[i])):
             mismatches.append({"index": i, "left": float(lv[i]), "right": float(rv[i])})
     report = {
         "left": {"operator": left.operator, "bc": left.bc, "provenance": left.provenance},

@@ -136,12 +136,11 @@ def dk_eigencheck(alg, Q, K, p=1, q=0, X=None, rng=None):
 class TwistedFunction:
     """A twisted Z-Fourier transform specification, evaluable at (X, Z).
 
-    mode: ("full",), ("sphere", R) with R a constant or callable of |X|,
-    or ("lattice", Z_gamma).  The twist is the one-pole polynomial
-    Theta_Q^p conj(Theta_Q)^q (multi-pole products via pole_list), with the
-    optional X-harmonic projection Pi_X and K-spherical projection
-    Pi_K^(s).  radial(x, kk) multiplies the integrand; angular(K_u) is an
-    optional unit-sphere factor.
+    mode: ("full",), ("sphere", R) with a constant radius R, or
+    ("lattice", Z_gamma).  The twist is the one-pole polynomial
+    Theta_Q^p conj(Theta_Q)^q, with the optional X-harmonic projection
+    Pi_X and K-spherical projection Pi_K^(s).  radial(x, kk) multiplies
+    the integrand.
     """
 
     def __init__(
@@ -151,9 +150,7 @@ class TwistedFunction:
         Q=None,
         p=0,
         q=0,
-        pole_list=None,
         radial=None,
-        angular=None,
         project_x=False,
         project_k=None,
         sphere_order=16,
@@ -163,9 +160,7 @@ class TwistedFunction:
         self.mode = mode
         self.Q = None if Q is None else np.asarray(Q, dtype=float)
         self.p, self.q = int(p), int(q)
-        self.pole_list = pole_list
         self.radial = radial or (lambda x, kk: 1.0)
-        self.angular = angular
         self.project_x = bool(project_x)
         self.project_k = project_k
         self.sphere_order = sphere_order
@@ -176,8 +171,6 @@ class TwistedFunction:
 
     @property
     def n(self):
-        if self.pole_list is not None:
-            return sum(p + q for _, p, q in self.pole_list)
         return self.p + self.q
 
     def with_pole(self, Q_new, alg=None):
@@ -188,9 +181,7 @@ class TwistedFunction:
             Q=Q_new,
             p=self.p,
             q=self.q,
-            pole_list=self.pole_list,
             radial=self.radial,
-            angular=self.angular,
             project_x=self.project_x,
             project_k=self.project_k,
             sphere_order=self.sphere_order,
@@ -200,25 +191,12 @@ class TwistedFunction:
 
     def _twist_values(self, X, nodes):
         """Twist polynomial (projected if requested) at unit nodes."""
-        if self.pole_list is not None:
-            if self.project_x:
-                raise NotImplementedError("Pi_X for multi-pole twists: use XKPolynomial")
-            out = np.ones(len(nodes), dtype=complex)
-            for Qi, pi, qi in self.pole_list:
-                th = _theta_batch(self.alg, Qi, X, nodes)
-                out *= th**pi * np.conj(th) ** qi
-            return out
         if self.Q is None:
             return np.ones(len(nodes), dtype=complex)
         if self.project_x:
             return theta_projected(self.alg, self.Q, self.p, self.q, X, nodes)
         th = _theta_batch(self.alg, self.Q, X, nodes)
         return th**self.p * np.conj(th) ** self.q
-
-    def _angular_values(self, nodes):
-        if self.angular is None:
-            return np.ones(len(nodes))
-        return np.asarray(self.angular(nodes))
 
     def __call__(self, X, Z):
         X = np.asarray(X, dtype=float)
@@ -235,13 +213,11 @@ class TwistedFunction:
                 return self.radial(x, 0.0) * phase
             node = (Zg / zg)[None, :]
             tw = self._twist_values(X, node)[0]
-            ang = self._angular_values(node)[0]
-            return self.radial(x, zg) * ang * tw * phase
+            return self.radial(x, zg) * tw * phase
 
         nodes, weights = sphere_rule(alg.l, self.sphere_order)
         if kind == "sphere":
-            R = self.mode[1]
-            Rx = float(R(x)) if callable(R) else float(R)
+            Rx = float(self.mode[1])
             vals = self._node_integrand(X, nodes)
             phases = np.exp(1j * Rx * (nodes @ Z))
             return (weights @ (vals * phases)) / weights.sum() * self.radial(x, Rx)
@@ -257,8 +233,8 @@ class TwistedFunction:
         return total
 
     def _node_integrand(self, X, nodes):
-        """Twist x angular (x Pi_K projection) at the sphere-rule nodes."""
-        tw = self._twist_values(X, nodes) * self._angular_values(nodes)
+        """Twist (x Pi_K projection) at the sphere-rule nodes."""
+        tw = self._twist_values(X, nodes)
         if self.project_k is None:
             return tw
         A, Bt = zonal_projector_factor(self.alg.l, int(self.project_k), self.sphere_order)
@@ -270,18 +246,16 @@ class TwistedFunction:
 
         Only for sphere modes; meaningful for those built by
         boundary_functions, where the K-sphere radius R equals
-        sqrt(lambda_i^(s)(x^2)) and the boundary radius R_b(x) is stored
-        alongside (mode[2]).  The value is the finite sum
+        sqrt(lambda_i^(s)) and the boundary radius R_b is stored alongside
+        (mode[2], 1 when absent).  The value is the finite sum
         sum_j c_j e^{i R <n_j, Z>} over the sphere-rule nodes n_j, so its
         radial derivative is exact: each term gains i R <n_j, d>."""
         if self.mode[0] != "sphere":
             raise ValueError(f"boundary_residual needs a sphere mode, got {self.mode[0]!r}")
         X = np.asarray(X, dtype=float)
         x = np.linalg.norm(X)
-        R = self.mode[1]
-        R_bound = self.mode[2] if len(self.mode) > 2 else 1.0
-        Rx = float(R(x)) if callable(R) else float(R)
-        Rb = float(R_bound(x)) if callable(R_bound) else float(R_bound)
+        Rx = float(self.mode[1])
+        Rb = float(self.mode[2]) if len(self.mode) > 2 else 1.0
         nodes, weights = sphere_rule(self.alg.l, self.sphere_order)
         terms = weights * self._node_integrand(X, nodes) / weights.sum() * self.radial(x, Rx)
         dirs = np.random.default_rng(seed).standard_normal((n_dir, self.alg.l))
@@ -362,10 +336,7 @@ def m_operator_eigencheck(alg, tf, X, Z):
     SIGMA_DK * (q - p) * R; the residual compares the nested
     finite-difference application against eigenvalue * tf(X, Z).
     """
-    R = tf.mode[1]
-    x = np.linalg.norm(np.asarray(X, dtype=float))
-    Rx = float(R(x)) if callable(R) else float(R)
-    eig = SIGMA_DK * (tf.q - tf.p) * Rx
+    eig = SIGMA_DK * (tf.q - tf.p) * float(tf.mode[1])
     val = tf(X, Z)
     got = m_operator_apply(alg, tf, X, Z)
     return eig, abs(got - eig * val)

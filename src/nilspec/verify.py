@@ -20,14 +20,12 @@ def _check(name, value, tol):
     return (name, bool(value < tol), float(value))
 
 
-def suite_clifford(seed=0, perturb=False):
+def suite_clifford(seed=0):
     out = []
     table = {1: 2, 2: 4, 3: 4, 4: 8, 5: 8, 6: 8, 7: 8, 8: 16, 9: 32, 16: 256}
     worst = max(abs(irreducible_dimension(l) - v) for l, v in table.items())
     out.append(_check("dimension table", worst, 1))
     res = max(build_generators(l).anticommutation_residual() for l in range(1, 10))
-    if perturb:
-        res += 1
     out.append(_check("generator anticommutation (exact)", res, 1))
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -41,20 +39,18 @@ def suite_clifford(seed=0, perturb=False):
     return out
 
 
-def suite_htype(seed=0, perturb=False):
+def suite_htype(seed=0):
     out = []
     for (l, a, b) in [(3, 2, 1), (1, 1, 0), (7, 1, 0)]:
         ok, res = algebra.htype_group(l, a, b).is_h_type(samples=50, seed=seed)
         out.append((f"H^({a},{b})_{l} h-type", bool(ok), float(res)))
     su3 = algebra.from_representation(algebra.realify(algebra.su_generators(3)))
     ok, res = su3.is_h_type(samples=30)
-    if perturb:
-        ok = True
     out.append(("su(3) image is not H-type", not ok, float(res)))
     return out
 
 
-def suite_curvature(seed=0, perturb=False):
+def suite_curvature(seed=0):
     out = []
     worst = {"pair_symmetry": 0.0, "antisymmetry": 0.0, "bianchi": 0.0}
     for name, alg in [("H^(1,0)_3", algebra.htype_group(3, 1, 0)), ("H^(1,1)_3", algebra.htype_group(3, 1, 1))]:
@@ -65,8 +61,6 @@ def suite_curvature(seed=0, perturb=False):
         ext = geometry.SolvableExtension(alg, 1.0)
         expect = -(alg.k / 4.0 + alg.l) * (alg.k + alg.l + 1.0)
         val = abs(ext.scalar_curvature() - expect)
-        if perturb:
-            val += 1.0
         out.append(_check(f"{name} solvable scalar", val, 1e-12))
     out.append(_check("pair symmetry", worst["pair_symmetry"], 1e-12))
     out.append(_check("antisymmetry", worst["antisymmetry"], 1e-12))
@@ -74,7 +68,7 @@ def suite_curvature(seed=0, perturb=False):
     return out
 
 
-def suite_glz(seed=0, perturb=False):
+def suite_glz(seed=0):
     out = []
     worst = 0.0
     for mu in (0.5, 1.0):
@@ -82,8 +76,6 @@ def suite_glz(seed=0, perturb=False):
         for r, got in enumerate(rec.values()):
             expect = glz.explicit_eigenvalue(mu, r, 0, 2)
             worst = max(worst, abs(got - expect) / abs(expect))
-    if perturb:
-        worst += 1.0
     out.append(_check("collocation vs explicit (subset)", worst, 1e-6))
     res = max(abs(glz.laguerre_orthogonality_residual(r1, r2, 1, 4)) for r1 in range(3) for r2 in range(3) if r1 != r2)
     out.append(_check("Laguerre orthogonality", res, 1e-10))
@@ -93,7 +85,7 @@ def suite_glz(seed=0, perturb=False):
     return out
 
 
-def suite_harmonics(seed=0, perturb=False):
+def suite_harmonics(seed=0):
     out = []
     rng = np.random.default_rng(seed)
     worst_h = worst_r = 0.0
@@ -102,9 +94,6 @@ def suite_harmonics(seed=0, perturb=False):
             P = harmonics.HomogeneousPolynomial.random(d, degree, rng, complex_coeffs=True)
             H = harmonics.harmonic_projection(P)
             parts = harmonics.harmonic_decomposition(P)
-            if perturb:  # corrupt the outputs, so both checks must catch it
-                H = H + 1e-6 * P
-                parts[0] = (parts[0][0], (1.0 + 1e-6) * parts[0][1])
             worst_h = max(worst_h, H.laplacian().max_coeff() / max(1.0, P.max_coeff()))
             r2 = harmonics.HomogeneousPolynomial.radius_squared(d)
             rec = None
@@ -121,7 +110,7 @@ def suite_harmonics(seed=0, perturb=False):
     return out
 
 
-def suite_isospec(seed=0, perturb=False):
+def suite_isospec(seed=0):
     out = []
     h20 = algebra.htype_group(3, 2, 0)
     h11 = algebra.htype_group(3, 1, 1)
@@ -132,13 +121,11 @@ def suite_isospec(seed=0, perturb=False):
         rec_l = glz.compact_spectrum(left, 3.0, "dirichlet", count=4, N=120)
         rec_r = glz.compact_spectrum(right, 3.0, "dirichlet", count=4, N=120)
         worst = max(worst, np.abs(rec_l.values() - rec_r.values()).max())
-    if perturb:
-        worst += 1.0
     out.append(_check("H^(2,0)_3 vs H^(1,1)_3 reduced spectra", worst, 1e-6))
     return out
 
 
-def suite_waves(seed=0, perturb=False):
+def suite_waves(seed=0):
     out = []
     cc = waves.PhysicalConstants()
     out.append(_check("relativistic plane wave", waves.relativistic_residual([1.0, 0, 0], cc), 1e-12))
@@ -146,8 +133,6 @@ def suite_waves(seed=0, perturb=False):
     out.append(_check("solvable split", waves.solvable_split_residual(cc, 4, 3), 1e-15))
     heis = algebra.htype_group(1, 1, 0)
     res = waves.zcrystal_wave_residual(heis, np.array([2.0]), 0, 0, 0, kind="schrodinger")
-    if perturb:
-        res += 1.0
     out.append(_check("Z-crystal Schrodinger annihilation", res, 1e-8))
     c0 = waves.PhysicalConstants(m=0.0)
     out.append(_check("massless meson", waves.meson_phase_residual([0.7, -0.2, 0.4], c0), 1e-12))
@@ -157,7 +142,7 @@ def suite_waves(seed=0, perturb=False):
     return out
 
 
-def suite_angular(seed=0, perturb=False):
+def suite_angular(seed=0):
     out = []
     h3 = algebra.htype_group(3, 1, 0)
     Q = np.eye(4)[0]
@@ -172,8 +157,6 @@ def suite_angular(seed=0, perturb=False):
     eig, res = twisted.m_operator_eigencheck(h3, tf, X0, Z0)
     scale = abs(tf(X0, Z0))
     v = res / scale + abs(abs(eig) - 3.0)
-    if perturb:
-        v += 1.0
     out.append(_check("M eigenvalue (p-q)R", v, 1e-8))
     dz = twisted.delta_z_apply(tf, X0, Z0, 3)
     out.append(_check("Delta_Z eigenvalue -R^2", abs(dz / tf(X0, Z0) + 9.0), 1e-8))
@@ -192,23 +175,23 @@ SUITES = {
 }
 
 
-def run_suite(name, seed=0, perturb=False):
+def run_suite(name, seed=0):
     """The suite's checks; a suite that raises is one failed check whose
     detail is the exception text, so a broken library reads as a failed
     verification, not as a crash."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     try:
-        return SUITES[name](seed=seed, perturb=perturb)
+        return SUITES[name](seed=seed)
     except Exception as exc:
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
         return [(f"{name} suite ran", False, f"{type(exc).__name__}: {exc} ({where})")]
 
 
-def run_all(only=None, seed=0, perturb=False):
+def run_all(only=None, seed=0):
     names = [only] if only else list(SUITES)
     results = {}
     for name in names:
-        results[name] = run_suite(name, seed=seed, perturb=perturb)
+        results[name] = run_suite(name, seed=seed)
     return results

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nilspec import cli, twisted
+from nilspec import cli, geometry, twisted
 from nilspec.cli import ConfigError, ResultCache, canonical_json, main, parse_config
 from nilspec.glz import SpectrumRecord
 
@@ -92,6 +92,10 @@ _MALFORMED = [
     # fullspace_spectrum's range of T: a larger T would size its quadrature rule
     *[("spectrum", {**_G1, "operator": {"mode": "fullspace", "n": 0}, "domain": {"T": T}})
       for T in (0, -1.0, 700.5, 1e300)],
+    # the solvers' range of N: a larger N would size the basis and the pencil
+    *[(cmd, {**_G1, "operator": {"mode": mode}, "domain": {"N": N}})
+      for cmd, mode in (("spectrum", "compact"), ("spectrum", "fullspace"), ("isospec", "compact"))
+      for N in (0, 2049, 10**12)],
     ("spectrum", {**_G1, "operator": {"mode": "explicit", "r_max": "a"}}),
     # mu < 0 has no meaning; at mu = 0 the full-space operator has no L^2 eigenvalues
     ("spectrum", {**_G1, "operator": {"mode": "fullspace", "mu": -1, "n": 1, "m": 1}}),
@@ -101,7 +105,7 @@ _MALFORMED = [
     ("spectrum", {**_G1, "operator": {"mode": "wrong"}}),
     ("waves", {"hbar": -1}),
     ("waves", {"c": "fast"}),
-    ("verify", {"perturb": "no"}),
+    ("verify", {"perturb": True}),  # the key is gone: a mutation table replaces it
     ("report", {"ensure": "spectrum"}),
 ]
 
@@ -332,16 +336,41 @@ def test_verify_unknown_suite(tmp_path):
     assert run_cli(["verify", "--only", "nope", "--out", str(tmp_path)]) == 2
 
 
-def test_verify_perturbed_fails(tmp_path):
-    cfg = tmp_path / "p.json"
-    cfg.write_text(json.dumps({"perturb": True}))
-    code = run_cli(["verify", "--only", "curvature", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert code == 1
-    out = tmp_path / "h"
-    assert run_cli(["verify", "--only", "harmonics", "--config", str(cfg), "--out", str(out)]) == 1
-    checks = {c["check"]: c["ok"] for c in json.loads((out / "verify.json").read_text())["results"]["harmonics"]}
-    assert not checks["projection harmonicity"]
-    assert not checks["decomposition round trip"]
+def test_verify_mutated_library_fails(tmp_path, monkeypatch, capsys):
+    # the closed H-type Ricci form with -(l/4) in place of -(l/2): both trace
+    # rows of the curvature suite read FAIL, and the others still PASS
+    def halved_x_term(alg, U, V):
+        (Xu, Zu), (Xv, Zv) = U, V
+        return -(alg.l / 4.0) * geometry._dot(Xu, Xv) + (alg.k / 4.0) * geometry._dot(Zu, Zv)
+
+    monkeypatch.setattr(geometry, "ricci_htype", halved_x_term)
+    out = tmp_path / "o"
+    assert run_cli(["verify", "--only", "curvature", "--out", str(out)]) == 1
+    payload = json.loads((out / "verify.json").read_text())
+    failed = sorted(row["check"] for row in payload["results"]["curvature"] if not row["ok"])
+    assert failed == ["H^(1,0)_3 ricci trace vs closed", "H^(1,1)_3 ricci trace vs closed"]
+    assert payload["failed"] == 2
+    assert "FAIL  [curvature] H^(1,0)_3 ricci trace vs closed" in capsys.readouterr().out
+
+
+def test_removed_tol_flag_is_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["waves", "--tol", "1e-6", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["build-group", "curvature", "verify", "spectrum", "isospec", "waves"])
+def test_negative_seed_is_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "g.json"
+    cfg.write_text(json.dumps({"group": {"l": 1}}))
+    args = [command, "--seed", "-1", "--out", str(tmp_path / "o")]
+    if command in ("build-group", "curvature", "spectrum"):
+        args += ["--config", str(cfg)]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: --seed must be >= 0, got -1\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_verify_suite_that_raises_is_a_failed_check(tmp_path, monkeypatch, capsys):

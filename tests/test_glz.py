@@ -242,6 +242,26 @@ def test_compact_spectrum_refuses_bad_radius(R):
         compact_spectrum(RadialGLZOperator(2, 0, 0, 1.0), R, count=2, N=40)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # N = 0 gave [nan] with a warning
+@pytest.mark.parametrize("solve", ["compact", "fullspace"])
+@pytest.mark.parametrize("N", [0, -3, 2.0, 40.5, glz._N_MAX + 1, 10**12])
+def test_spectra_refuse_bad_order_before_allocating(solve, N):
+    op = RadialGLZOperator(2, 0, 0, 1.0)
+    before = glz._galerkin_basis.cache_info()
+    with pytest.raises(ValueError, match=f"need an integer N with 1 <= N <= {glz._N_MAX}"):
+        if solve == "compact":
+            compact_spectrum(op, 1.0, count=1, N=N)
+        else:
+            fullspace_spectrum(op, T=60.0, N=N, count=1)
+    assert glz._galerkin_basis.cache_info() == before
+
+
+def test_spectra_accept_the_order_limits():
+    op = RadialGLZOperator(2, 0, 0, 1.0)
+    assert compact_spectrum(op, 1.0, count=1, N=np.int64(1)).values().shape == (1,)
+    assert glz._N_MAX >= 800  # the largest N a caller uses
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("R", [1e200, np.float64(1e200), 1e150])
 def test_compact_spectrum_overflow_raises(R):

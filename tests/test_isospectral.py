@@ -5,7 +5,7 @@ import pytest
 
 from nilspec.algebra import htype_group
 from nilspec.geometry import laplacian_apply
-from nilspec.glz import RadialGLZOperator, compact_spectrum
+from nilspec.glz import RadialGLZOperator, SpectrumRecord, compact_spectrum
 from nilspec.isospectral import (
     IntertwineSpec,
     intertwine,
@@ -105,6 +105,21 @@ def test_spectra_compare_identical_and_perturbed():
     rep = spectra_compare(rec1, rec3, tol=1e-6)
     assert not rep["isospectral"]
     assert rep["mismatches"][0]["index"] == 2
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_spectra_compare_nan_is_a_mismatch(side):
+    def record(values):
+        return SpectrumRecord([{"value": v} for v in values], bc="dirichlet", provenance="discretized")
+
+    good = record([-6.0, -10.0])
+    bad = record([float("nan"), -10.0])  # in place of -6.0
+    left, right = (bad, good) if side == "left" else (good, bad)
+    rep = spectra_compare(left, right, tol=1e-6)
+    assert not rep["isospectral"]
+    assert rep["matched"] < rep["compared"] == 2
+    # control: the same records without the NaN match
+    assert spectra_compare(good, record([-6.0, -10.0]), tol=1e-6)["isospectral"]
 
 
 def test_spectra_compare_length_defect():
