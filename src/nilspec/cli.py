@@ -35,7 +35,7 @@ from .glz import (
     fullspace_spectrum,
 )
 from .isospectral import spectra_compare
-from .verify import SUITES, run_all
+from .verify import CHECKS, SUITES, run_all
 from .waves import (
     PhysicalConstants,
     meson_phase_residual,
@@ -404,16 +404,17 @@ def cmd_curvature(config, opts):
 
 def cmd_verify(config, opts):
     results = run_all(only=opts.only, seed=opts.seed)
+    tols = {(suite, name): tol for suite, name, tol, _ in CHECKS}
     for suite, checks in results.items():
         for name, ok, detail in checks:
             text = f"{detail:.3e}" if isinstance(detail, float) else detail
-            print(f"{'PASS' if ok else 'FAIL'}  [{suite}] {name}  ({text})")
+            print(f"{'PASS' if ok else 'FAIL'}  [{suite}] {name}  ({text}; tol {tols[suite, name]:g})")
     failed = sum(not ok for checks in results.values() for _, ok, _ in checks)
     payload = {
         "kind": "verify",
         "failed": failed,
         "results": {
-            suite: [{"check": n, "ok": ok, "detail": d} for n, ok, d in checks]
+            suite: [{"check": n, "ok": ok, "detail": d, "tol": tols[suite, n]} for n, ok, d in checks]
             for suite, checks in results.items()
         },
     }

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nilspec import cli, geometry, twisted
+from nilspec import cli, geometry, glz
 from nilspec.cli import ConfigError, ResultCache, canonical_json, main, parse_config
 from nilspec.glz import SpectrumRecord
 
@@ -373,15 +373,23 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
-def test_verify_suite_that_raises_is_a_failed_check(tmp_path, monkeypatch, capsys):
-    # the flipped sign makes the pole reduction raise inside the isospec suite
-    monkeypatch.setattr(twisted, "SIGMA_DK", -1)
+def test_verify_check_that_raises_fails_only_its_row(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("Bessel zeros unavailable")
+
+    monkeypatch.setattr(glz, "zball_eigenvalues", broken)
     out = tmp_path / "out"
-    assert run_cli(["verify", "--only", "isospec", "--out", str(out)]) == 1
-    rows = json.loads((out / "verify.json").read_text())["results"]["isospec"]
-    assert [row["ok"] for row in rows] == [False]
-    assert rows[0]["detail"].startswith("RuntimeError: pole reduction misbehaved")
-    assert "FAIL  [isospec] isospec suite ran  (RuntimeError:" in capsys.readouterr().out
+    assert run_cli(["verify", "--only", "glz", "--out", str(out)]) == 1
+    payload = json.loads((out / "verify.json").read_text())
+    rows = {row["check"]: row for row in payload["results"]["glz"]}
+    assert {name: row["ok"] for name, row in rows.items()} == {
+        "collocation vs explicit (subset)": True,
+        "Laguerre orthogonality": True,
+        "Z-ball l=3 Dirichlet": False,
+    }
+    assert rows["Z-ball l=3 Dirichlet"]["detail"].startswith("RuntimeError: Bessel zeros unavailable (")
+    assert payload["failed"] == 1
+    assert "FAIL  [glz] Z-ball l=3 Dirichlet  (RuntimeError:" in capsys.readouterr().out
 
 
 def test_waves_command(tmp_path):
@@ -441,3 +449,6 @@ def test_determinism_same_seed_same_bytes(tmp_path):
     run_cli(["build-group", "--config", str(cfg), "--out", str(out1), "--seed", "7"])
     run_cli(["build-group", "--config", str(cfg), "--out", str(out2), "--seed", "7"])
     assert (out1 / "group.json").read_bytes() == (out2 / "group.json").read_bytes()
+    assert run_cli(["verify", "--out", str(out1), "--seed", "7"]) == 0
+    assert run_cli(["verify", "--out", str(out2), "--seed", "7"]) == 0
+    assert (out1 / "verify.json").read_bytes() == (out2 / "verify.json").read_bytes()

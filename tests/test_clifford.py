@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from mutants import Edit, mutant
 
 from nilspec import clifford
 from nilspec.clifford import (
@@ -137,6 +138,25 @@ def test_invalid_module_rejected():
     bad = [good.generators[0], good.generators[0]]
     with pytest.raises(ValueError):
         CliffordModule(l=2, n=4, generators=bad)
+
+
+@pytest.mark.parametrize("owner, attr, edit", [
+    pytest.param(clifford, "irreducible_dimension", Edit("_RESIDUE_EXPONENT[r]", "_RESIDUE_EXPONENT[r - 1]"),
+                 id="period-8 table read one residue early"),
+    pytest.param(CliffordModule, "anticommutation_residual", Edit("-2 * eye if a == b", "-1 * eye if a == b"),
+                 id="anticommutation target -I for -2I"),
+])
+def test_mutated_table_or_relations_refuse_the_build(monkeypatch, owner, attr, edit):
+    # construction checks each module against the period-8 table and the
+    # Clifford relations, so a mutation of either builds no module
+    monkeypatch.setattr(owner, attr, mutant(getattr(owner, attr), edit))
+    clifford._irreducible_module.cache_clear()
+    try:
+        with pytest.raises(ValueError):
+            for l in range(1, 10):
+                build_generators(l)
+    finally:
+        clifford._irreducible_module.cache_clear()
 
 
 def test_json_export_roundtrip():

@@ -10,13 +10,11 @@ MUTATIONS: each changes one site of the library, and every check that
 (mutation adequacy, DeMillo, Lipton & Sayward, IEEE Computer 11(4), 1978).
 """
 
-import inspect
-import sys
-import textwrap
 from collections import namedtuple
 
 import numpy as np
 import pytest
+from mutants import Edit, mutant
 
 from nilspec import algebra, clifford, geometry, glz, harmonics, isospectral, quadrature, twisted, verify, waves
 
@@ -66,103 +64,85 @@ def test_small_perturbation_fails_tightened_check(monkeypatch, suite, check, tol
 # -- mutation table: every verify check is killed by a named mutation --------
 
 
-Edit = namedtuple("Edit", "old new")  # a one-site change to the patched function's source
-
-
-def _mutant(original, edit):
-    """`original` recompiled from its source with `edit` applied, in its own
-    module's globals; the edited text must occur exactly once."""
-    source = textwrap.dedent(inspect.getsource(original))
-    assert source.count(edit.old) == 1, f"{edit.old!r} is not one site of {original.__qualname__}"
-    module = sys.modules[original.__module__]
-    namespace = {}
-    exec(compile(source.replace(edit.old, edit.new), module.__file__, "exec"), vars(module), namespace)
-    return namespace[original.__name__]
-
-
-Mutation = namedtuple("Mutation", "name owner attr change suite checks cold raises", defaults=(True, False))
+Mutation = namedtuple("Mutation", "name owner attr change checks")
 
 # Each row: (name, owner and attribute patched, mutated value or Edit of its
-# source, suite, checks that must read FAIL).  A mutation is a sign, an
+# source, {suite: checks that must read FAIL}).  A mutation is a sign, an
 # index, a factor of 2, a swapped argument or an off-by-one in the library;
-# none adds a constant to a result.  With `cold` (the default) the caches of
-# _CACHES are cleared once the mutation is in place, so it reaches every
-# cached value built from it.  `raises` marks the one row that is killed by
-# the suite raising: its checks read as the single "<suite> suite ran" FAIL.
+# none adds a constant to a result.  The caches of _CACHES are cleared once
+# the mutation is in place, so it reaches every cached value built from it.
 MUTATIONS = [
-    # the build checks each module against the same table (CliffordModule
-    # raises), so the row mutates the reference the check reads
-    Mutation("period-8 table read one residue early", verify, "irreducible_dimension",
-             Edit("_RESIDUE_EXPONENT[r]", "_RESIDUE_EXPONENT[r - 1]"), "clifford", ["dimension table"]),
-    # construction checks the relations with this same method, so the row
-    # keeps the modules built and checked by the unmutated pass (cold=False)
-    Mutation("anticommutation target -I for -2I", clifford.CliffordModule, "anticommutation_residual",
-             Edit("-2 * eye if a == b", "-1 * eye if a == b"), "clifford",
-             ["generator anticommutation (exact)"], cold=False),
     Mutation("J_Z doubles Z", algebra.TwoStepAlgebra, "J",
-             Edit("np.tensordot(Z, self.J_basis", "np.tensordot(2.0 * Z, self.J_basis"), "clifford",
-             ["J_Z^2 = -|Z|^2 I"]),
+             Edit("np.tensordot(Z, self.J_basis", "np.tensordot(2.0 * Z, self.J_basis"),
+             {"clifford": ["J_Z^2 = -|Z|^2 I"]}),
     Mutation("H-type residual with J^2 - I", algebra.TwoStepAlgebra, "htype_residual",
-             Edit("np.abs(J @ J + eye)", "np.abs(J @ J - eye)"), "htype",
-             ["H^(2,1)_3 h-type", "H^(1,0)_1 h-type", "H^(1,0)_7 h-type"]),
-    Mutation("is_h_type comparison flipped", algebra.TwoStepAlgebra, "is_h_type",
-             Edit("res < HTYPE_TOL", "res >= HTYPE_TOL"), "htype",
-             ["H^(2,1)_3 h-type", "H^(1,0)_1 h-type", "H^(1,0)_7 h-type", "su(3) image is not H-type"]),
+             Edit("np.abs(J @ J + eye)", "np.abs(J @ J - eye)"),
+             {"htype": ["H^(2,1)_3 h-type", "H^(1,0)_1 h-type", "H^(1,0)_7 h-type"]}),
+    Mutation("H-type residual returned with its sign flipped", algebra.TwoStepAlgebra, "htype_residual",
+             Edit("return worst", "return -worst"), {"htype": ["su(3) image is not H-type"]}),
     Mutation("closed Ricci with -l/4 <X, X*>", geometry, "ricci_htype",
-             Edit("-(alg.l / 2.0)", "-(alg.l / 4.0)"), "curvature",
-             ["H^(1,0)_3 ricci trace vs closed", "H^(1,1)_3 ricci trace vs closed"]),
+             Edit("-(alg.l / 2.0)", "-(alg.l / 4.0)"),
+             {"curvature": ["H^(1,0)_3 ricci trace vs closed", "H^(1,1)_3 ricci trace vs closed"]}),
     Mutation("solvable Ric(T, T) sign", geometry.SolvableExtension, "ricci",
-             Edit("(-au * av)", "(au * av)"), "curvature",
-             ["H^(1,0)_3 solvable scalar", "H^(1,1)_3 solvable scalar"]),
+             Edit("(-au * av)", "(au * av)"),
+             {"curvature": ["H^(1,0)_3 solvable scalar", "H^(1,1)_3 solvable scalar"]}),
     Mutation("R(Z, Z*)X at 1/2", geometry, "_riemann",
-             Edit("+ 0.25 * (_jz(J_basis, Zu, JvXw)", "+ 0.5 * (_jz(J_basis, Zu, JvXw)"), "curvature",
-             ["pair symmetry", "first Bianchi"]),
+             Edit("+ 0.25 * (_jz(J_basis, Zu, JvXw)", "+ 0.5 * (_jz(J_basis, Zu, JvXw)"),
+             {"curvature": ["pair symmetry", "first Bianchi"]}),
     Mutation("R(X, Y)X* middle term sign", geometry, "_riemann",
              Edit("+ -0.25 * _jz(J_basis, _bracket(J_basis, Xv, Xw), Xu)",
-                  "+ 0.25 * _jz(J_basis, _bracket(J_basis, Xv, Xw), Xu)"), "curvature",
-             ["antisymmetry", "first Bianchi"]),
+                  "+ 0.25 * _jz(J_basis, _bracket(J_basis, Xv, Xw), Xu)"),
+             {"curvature": ["antisymmetry", "first Bianchi"]}),
     Mutation("projection recursion with s + 2", harmonics, "projection_coefficients",
-             Edit("2.0 * (s + 1)", "2.0 * (s + 2)"), "harmonics",
-             ["projection harmonicity", "decomposition round trip"]),
+             Edit("2.0 * (s + 1)", "2.0 * (s + 2)"),
+             {"harmonics": ["projection harmonicity", "decomposition round trip"]}),
     Mutation("decomposition norm stops one factor short", harmonics, "harmonic_decomposition",
-             Edit("range(1, i + 1)", "range(1, i)"), "harmonics", ["decomposition round trip"]),
+             Edit("range(1, i + 1)", "range(1, i)"), {"harmonics": ["decomposition round trip"]}),
     Mutation("spherical mean with cos and sin swapped", harmonics, "spherical_mean",
              Edit("np.cos(rho) * theta[None, :] + np.sin(rho)", "np.sin(rho) * theta[None, :] + np.cos(rho)"),
-             "harmonics", ["mean value identity"]),
+             {"harmonics": ["mean value identity"]}),
+    Mutation("circle rule with 2 order - 1 nodes", quadrature, "_sphere_rule_cached",
+             Edit("max(4, 2 * order)", "max(4, 2 * order - 1)"), {"harmonics": ["sphere rule exactness"]}),
+    Mutation("circle weights pi/n for 2 pi/n", quadrature, "_sphere_rule_cached",
+             Edit("2.0 * np.pi / n", "np.pi / n"), {"harmonics": ["sphere rule exactness"]}),
+    Mutation("one Gauss-Jacobi node fewer", quadrature, "_sphere_rule_cached",
+             Edit("roots_jacobi(order,", "roots_jacobi(order - 1,"), {"harmonics": ["sphere rule exactness"]}),
     Mutation("full-space constant added", glz, "fullspace_spectrum",
-             Edit("mu * lam - const", "mu * lam + const"), "glz", ["collocation vs explicit (subset)"]),
+             Edit("mu * lam - const", "mu * lam + const"), {"glz": ["collocation vs explicit (subset)"]}),
     Mutation("Laguerre recursion with alpha + i", glz, "laguerre_eigenfunction",
-             Edit("(alpha + i + 1)", "(alpha + i)"), "glz", ["Laguerre orthogonality"]),
+             Edit("(alpha + i + 1)", "(alpha + i)"), {"glz": ["Laguerre orthogonality"]}),
     Mutation("Z-ball Bessel order one up", glz, "zball_eigenvalues",
-             Edit("s + l / 2.0 - 1.0", "s + l / 2.0"), "glz", ["Z-ball l=3 Dirichlet"]),
+             Edit("s + l / 2.0 - 1.0", "s + l / 2.0"), {"glz": ["Z-ball l=3 Dirichlet"]}),
     Mutation("dispersion with k^2 - m^2 c^2", waves, "relativistic_dispersion",
-             Edit("kk**2 + constants.m**2", "kk**2 - constants.m**2"), "waves", ["relativistic plane wave"]),
+             Edit("kk**2 + constants.m**2", "kk**2 - constants.m**2"), {"waves": ["relativistic plane wave"]}),
     Mutation("neutrino mass term sign", waves, "operator_atoms",
-             Edit('"dT": const(mass_rate)', '"dT": const(-mass_rate)'), "waves", ["static split"]),
+             Edit('"dT": const(mass_rate)', '"dT": const(-mass_rate)'), {"waves": ["static split"]}),
     Mutation("tractor rate k/2 + l", waves, "operator_atoms",
-             Edit("const(k / 2.0 + l - 1.0)", "const(k / 2.0 + l)"), "waves", ["solvable split"]),
+             Edit("const(k / 2.0 + l - 1.0)", "const(k / 2.0 + l)"), {"waves": ["solvable split"]}),
     Mutation("Z-crystal mu = |K|", waves, "zcrystal_wave_residual",
-             Edit("mu = kt / 2.0", "mu = kt"), "waves", ["Z-crystal Schrodinger annihilation"]),
+             Edit("mu = kt / 2.0", "mu = kt"), {"waves": ["Z-crystal Schrodinger annihilation"]}),
     Mutation("meson residual omega^2 + k^2", waves, "meson_phase_residual",
-             Edit("(omega**2 - kk**2)", "(omega**2 + kk**2)"), "waves", ["massless meson"]),
+             Edit("(omega**2 - kk**2)", "(omega**2 + kk**2)"), {"waves": ["massless meson"]}),
     Mutation("X-curves at rate q", geometry, "hubble_scaling",
-             Edit("np.exp(q * tau / 2.0)", "np.exp(q * tau)"), "waves", ["Hubble X-scaling"]),
+             Edit("np.exp(q * tau / 2.0)", "np.exp(q * tau)"), {"waves": ["Hubble X-scaling"]}),
     Mutation("D_K eigenvalue with q - p", twisted, "dk_eigencheck",
-             Edit("SIGMA_DK * (p - q)", "SIGMA_DK * (q - p)"), "angular", ["D_K eigenvalue magnitude"]),
+             Edit("SIGMA_DK * (p - q)", "SIGMA_DK * (q - p)"), {"angular": ["D_K eigenvalue magnitude"]}),
     Mutation("M eigenvalue with p - q", twisted, "m_operator_eigencheck",
-             Edit("(tf.q - tf.p)", "(tf.p - tf.q)"), "angular", ["M eigenvalue (p-q)R"]),
+             Edit("(tf.q - tf.p)", "(tf.p - tf.q)"), {"angular": ["M eigenvalue (p-q)R"]}),
     Mutation("sphere rule off the sphere", quadrature, "_sphere_rule_cached",
-             Edit("np.sqrt(1.0 - u**2)", "np.sqrt(1.0 + u**2)"), "angular", ["Delta_Z eigenvalue -R^2"]),
-    Mutation("D-sign convention flipped", twisted, "SIGMA_DK", -1, "isospec",
-             ["H^(2,0)_3 vs H^(1,1)_3 reduced spectra"], raises=True),
+             Edit("np.sqrt(1.0 - u**2)", "np.sqrt(1.0 + u**2)"), {"angular": ["Delta_Z eigenvalue -R^2"]}),
+    # the isospec row fails by the pole reduction raising, on its own row
+    Mutation("D-sign convention flipped", twisted, "SIGMA_DK", -1,
+             {"angular": ["D_K eigenvalue magnitude", "M eigenvalue (p-q)R"],
+              "isospec": ["H^(2,0)_3 vs H^(1,1)_3 reduced spectra"]}),
 ]
 
 # survives every check: both sides of the isospectral pair share k, so the
 # comparison cannot see it (ROADMAP item 4 makes it fail)
 SURVIVORS = [
     Mutation("reduction uses k + 2 on both sides", isospectral, "reduced_operator_for_pole",
-             Edit("RadialGLZOperator(k=alg.k,", "RadialGLZOperator(k=alg.k + 2,"), "isospec",
-             ["H^(2,0)_3 vs H^(1,1)_3 reduced spectra"]),
+             Edit("RadialGLZOperator(k=alg.k,", "RadialGLZOperator(k=alg.k + 2,"),
+             {"isospec": ["H^(2,0)_3 vs H^(1,1)_3 reduced spectra"]}),
 ]
 
 # the caches a mutation can sit behind
@@ -189,28 +169,39 @@ def clean_caches():
     _clear_caches()
 
 
+def _verdicts(checks):
+    """{(suite, check): passed} for the named checks of each suite."""
+    out = {}
+    for suite, names in checks.items():
+        rows = {name: ok for name, ok, _ in verify.run_suite(suite)}
+        out.update({(suite, name): rows[name] for name in names})
+    return out
+
+
 @pytest.mark.parametrize("mutation", [
     *MUTATIONS,
     *[pytest.param(m, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 4")) for m in SURVIVORS],
 ], ids=lambda m: m.name)
 def test_mutation_fails_its_checks(monkeypatch, clean_caches, mutation):
-    unmutated = {name: ok for name, ok, _ in verify.run_suite(mutation.suite)}
-    assert all(unmutated[check] for check in mutation.checks)
+    assert all(_verdicts(mutation.checks).values())
     value = mutation.change
     if isinstance(value, Edit):
-        value = _mutant(getattr(mutation.owner, mutation.attr), value)
+        value = mutant(getattr(mutation.owner, mutation.attr), value)
     with monkeypatch.context() as patch:
         patch.setattr(mutation.owner, mutation.attr, value)
-        if mutation.cold:
-            _clear_caches()
-        rows = {name: ok for name, ok, _ in verify.run_suite(mutation.suite)}
-    if mutation.raises:
-        assert rows == {f"{mutation.suite} suite ran": False}
-    else:
-        assert {check: rows[check] for check in mutation.checks} == dict.fromkeys(mutation.checks, False)
+        _clear_caches()
+        verdicts = _verdicts(mutation.checks)
+    assert verdicts == dict.fromkeys(verdicts, False)
 
 
 def test_every_check_has_a_killing_mutation():
     reported = {(suite, name) for suite, rows in verify.run_all().items() for name, _, _ in rows}
-    killed = {(m.suite, check) for m in MUTATIONS for check in m.checks}
+    killed = {(suite, check) for m in MUTATIONS for suite, checks in m.checks.items() for check in checks}
     assert killed == reported
+    assert len(reported) == len(verify.CHECKS)
+
+
+def test_sphere_rule_exactness_fails_one_degree_up():
+    # the rule claims degree < 2 * order; at degree 2 * order the same
+    # comparison misses by far more than the row's tolerance
+    assert verify._sphere_rule_error(3, 6) > 0.1
