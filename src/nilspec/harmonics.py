@@ -1,6 +1,7 @@
-"""Solid harmonics: the sparse polynomial engine (shared with `twisted`),
-projections and graded decompositions of homogeneous polynomials, the
-Hankel transform, and the spherical mean value identity.
+"""Solid harmonics: the sparse polynomial type `Polynomial` (extended to
+(X, K) by `twisted.XKPolynomial`), projections and graded decompositions of
+homogeneous polynomials, the Hankel transform, and the spherical mean value
+identity.
 """
 
 from itertools import combinations_with_replacement
@@ -18,6 +19,7 @@ from .quadrature import (
 )
 
 __all__ = [
+    "Polynomial",
     "HomogeneousPolynomial",
     "harmonic_projection",
     "harmonic_decomposition",
@@ -30,117 +32,133 @@ __all__ = [
 ]
 
 
-def _monomials(d, n):
-    out = []
-    for combo in combinations_with_replacement(range(d), n):
-        expo = [0] * d
-        for i in combo:
-            expo[i] += 1
-        out.append(tuple(expo))
-    return out
+class Polynomial:
+    """Sparse polynomial on `nvars` variables as a {exponent tuple: coeff} map.
+
+    The Laplacian, the |x|^2-multiply and the harmonic projection act on the
+    first `harmonic` variables; further variables (the K-block of an
+    XKPolynomial) ride along as parameters.  Every result is rebuilt by
+    `_like`, which subclasses override to keep their own bookkeeping; the
+    ladder and the projection run on bare maps, with no object per step.
+    """
+
+    degree = 0  # total degree; tracked by HomogeneousPolynomial
+
+    def __init__(self, nvars, harmonic, coeffs=None):
+        self.nvars = int(nvars)
+        self.harmonic = int(harmonic)
+        self.coeffs = {} if coeffs is None else coeffs
+
+    def _like(self, coeffs, degree_shift=0):
+        """A polynomial of this one's kind holding `coeffs`, of degree
+        raised by `degree_shift`."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, coeffs=coeffs)
+        return out
+
+    @staticmethod
+    def _sum(a, b):
+        out = dict(a)
+        for expo, c in b.items():
+            out[expo] = out.get(expo, 0.0) + c
+        return out
+
+    def __add__(self, other):
+        return self._like(self._sum(self.coeffs, other.coeffs))
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __rmul__(self, scalar):
+        return self._like({e: scalar * c for e, c in self.coeffs.items()})
+
+    def __mul__(self, other):
+        if not isinstance(other, Polynomial):
+            return self.__rmul__(other)
+        out = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                expo = tuple(x + y for x, y in zip(e1, e2))
+                out[expo] = out.get(expo, 0.0) + c1 * c2
+        return self._like(out, other.degree)
+
+    def power(self, m):
+        out = self._like({(0,) * self.nvars: 1.0}, -self.degree)
+        for _ in range(m):
+            out = out * self
+        return out
+
+    def diff(self, i):
+        """Derivative in variable i."""
+        out = {}
+        for expo, c in self.coeffs.items():
+            if expo[i]:
+                key = expo[:i] + (expo[i] - 1,) + expo[i + 1 :]
+                out[key] = out.get(key, 0.0) + c * expo[i]
+        return self._like(out, -1)
+
+    def _laplacian_map(self, coeffs):
+        out = {}
+        for expo, c in coeffs.items():
+            for i in range(self.harmonic):
+                e = expo[i]
+                if e >= 2:
+                    key = expo[:i] + (e - 2,) + expo[i + 1 :]
+                    out[key] = out.get(key, 0.0) + c * e * (e - 1)
+        return out
+
+    def laplacian(self):
+        return self._like(self._laplacian_map(self.coeffs), -2)
+
+    def _times_r2_map(self, coeffs):
+        out = {}
+        for expo, c in coeffs.items():
+            for i in range(self.harmonic):
+                key = expo[:i] + (expo[i] + 2,) + expo[i + 1 :]
+                out[key] = out.get(key, 0.0) + c
+        return out
+
+    def __call__(self, points):
+        """Values at the rows of `points` (one column per variable)."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.zeros(len(points), dtype=complex)
+        for expo, c in self.coeffs.items():
+            term = np.ones(len(points))
+            for i, e in enumerate(expo):
+                if e:
+                    term = term * points[:, i] ** e
+            out += c * term
+        return out
+
+    def _ladder(self):
+        """Maps of [P, Delta P, Delta^2 P, ...] up to the last nonzero term."""
+        ladder = [self.coeffs]
+        while True:
+            lap = self._laplacian_map(ladder[-1])
+            if not any(lap.values()):
+                return ladder
+            ladder.append(lap)
+
+    def _project(self, degree, ladder=None):
+        """Map of the harmonic projection sum_s c_s |x|^{2s} Delta^s P of P,
+        homogeneous of `degree` in the harmonic variables, from P's Laplacian
+        ladder (this polynomial's when none is given); |x|^2 is applied in
+        Horner form."""
+        ladder = ladder or self._ladder()
+        cs = projection_coefficients(self.harmonic, degree)
+        out = {}
+        for s in reversed(range(len(ladder))):
+            out = self._sum({e: cs[s] * c for e, c in ladder[s].items()}, self._times_r2_map(out))
+        return out
 
 
-# -- sparse polynomial engine ------------------------------------------------
-#
-# A polynomial is a {exponent tuple: coeff} dict.  Derivatives, the
-# Laplacian, the |x|^2-multiply and the harmonic projection act on the first
-# `nvars` variables; further variables (the K-block of an XKPolynomial) ride
-# along as parameters.
-
-
-def poly_add(a, b):
-    out = dict(a)
-    for expo, c in b.items():
-        out[expo] = out.get(expo, 0.0) + c
-    return out
-
-
-def poly_mul(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            expo = tuple(x + y for x, y in zip(e1, e2))
-            out[expo] = out.get(expo, 0.0) + c1 * c2
-    return out
-
-
-def poly_power(a, m, nvars):
-    out = {(0,) * nvars: 1.0}
-    for _ in range(m):
-        out = poly_mul(out, a)
-    return out
-
-
-def poly_diff(a, i):
-    """Derivative in variable i."""
-    out = {}
-    for expo, c in a.items():
-        if expo[i]:
-            key = expo[:i] + (expo[i] - 1,) + expo[i + 1 :]
-            out[key] = out.get(key, 0.0) + c * expo[i]
-    return out
-
-
-def poly_laplacian(a, nvars):
-    out = {}
-    for expo, c in a.items():
-        for i in range(nvars):
-            e = expo[i]
-            if e >= 2:
-                key = expo[:i] + (e - 2,) + expo[i + 1 :]
-                out[key] = out.get(key, 0.0) + c * e * (e - 1)
-    return out
-
-
-def poly_times_r2(a, nvars):
-    out = {}
-    for expo, c in a.items():
-        for i in range(nvars):
-            key = expo[:i] + (expo[i] + 2,) + expo[i + 1 :]
-            out[key] = out.get(key, 0.0) + c
-    return out
-
-
-def poly_eval(a, points):
-    """Values at the rows of `points` (one column per variable)."""
-    points = np.atleast_2d(points)
-    out = np.zeros(len(points), dtype=complex)
-    for expo, c in a.items():
-        term = np.ones(len(points), dtype=points.dtype)
-        for i, e in enumerate(expo):
-            if e:
-                term = term * points[:, i] ** e
-        out += c * term
-    return out
-
-
-def laplacian_ladder(a, nvars):
-    """[P, Delta P, Delta^2 P, ...] up to the last nonzero term."""
-    ladder = [a]
-    while True:
-        lap = poly_laplacian(ladder[-1], nvars)
-        if not any(lap.values()):
-            return ladder
-        ladder.append(lap)
-
-
-def project_ladder(ladder, nvars, degree):
-    """Harmonic projection sum_s c_s |x|^{2s} Delta^s P of a degree-`degree`
-    polynomial P, given its Laplacian ladder; |x|^2 is applied in Horner form."""
-    cs = projection_coefficients(nvars, degree)
-    out = {}
-    for s in reversed(range(len(ladder))):
-        out = poly_add({e: cs[s] * c for e, c in ladder[s].items()}, poly_times_r2(out, nvars))
-    return out
-
-
-class HomogeneousPolynomial:
+class HomogeneousPolynomial(Polynomial):
     """Homogeneous polynomial over R^d as a sparse monomial -> coefficient map."""
 
     def __init__(self, dimension, degree, coeffs=None):
+        super().__init__(dimension, dimension)
         self.dimension = int(dimension)
         self.degree = int(degree)
-        self.coeffs = {}
         if coeffs:
             for expo, c in coeffs.items():
                 if len(expo) != self.dimension or sum(expo) != self.degree:
@@ -148,78 +166,33 @@ class HomogeneousPolynomial:
                 if c != 0:
                     self.coeffs[tuple(expo)] = complex(c)
 
+    def _like(self, coeffs, degree_shift=0):
+        return HomogeneousPolynomial(self.dimension, max(self.degree + degree_shift, 0), coeffs)
+
     @classmethod
     def linear_form(cls, W):
-        W = np.asarray(W)
         d = len(W)
-        coeffs = {}
-        for i, w in enumerate(W):
-            if w != 0:
-                expo = [0] * d
-                expo[i] = 1
-                coeffs[tuple(expo)] = w
-        return cls(d, 1, coeffs)
+        return cls(d, 1, {(0,) * i + (1,) + (0,) * (d - i - 1): w for i, w in enumerate(W) if w != 0})
 
     @classmethod
     def radius_squared(cls, d):
-        return cls(d, 2, poly_times_r2({(0,) * d: 1.0}, d))
+        return cls(d, 2, {(0,) * i + (2,) + (0,) * (d - i - 1): 1.0 for i in range(d)})
 
     @classmethod
     def random(cls, d, n, rng, complex_coeffs=False):
         coeffs = {}
-        for expo in _monomials(d, n):
+        for combo in combinations_with_replacement(range(d), n):
+            expo = tuple(combo.count(i) for i in range(d))
             c = rng.standard_normal()
             if complex_coeffs:
                 c = c + 1j * rng.standard_normal()
             coeffs[expo] = c
         return cls(d, n, coeffs)
 
-    def __add__(self, other):
-        if other.degree != self.degree or other.dimension != self.dimension:
-            raise ValueError("degree/dimension mismatch")
-        coeffs = poly_add(self.coeffs, other.coeffs)
-        return HomogeneousPolynomial(self.dimension, self.degree, coeffs)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar):
-        coeffs = {e: scalar * c for e, c in self.coeffs.items()}
-        return HomogeneousPolynomial(self.dimension, self.degree, coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, HomogeneousPolynomial):
-            coeffs = poly_mul(self.coeffs, other.coeffs)
-            return HomogeneousPolynomial(self.dimension, self.degree + other.degree, coeffs)
-        return self.__rmul__(other)
-
-    def power(self, m):
-        coeffs = poly_power(self.coeffs, m, self.dimension)
-        return HomogeneousPolynomial(self.dimension, m * self.degree, coeffs)
-
-    def laplacian(self):
-        coeffs = poly_laplacian(self.coeffs, self.dimension)
-        return HomogeneousPolynomial(self.dimension, max(self.degree - 2, 0), coeffs)
-
-    def __call__(self, points):
-        return poly_eval(self.coeffs, np.asarray(points, dtype=float))
-
     def max_coeff(self):
         if not self.coeffs:
             return 0.0
         return max(abs(c) for c in self.coeffs.values())
-
-    def is_zero(self):
-        return self.max_coeff() == 0.0
-
-    def to_json_dict(self):
-        return {
-            "dimension": self.dimension,
-            "degree": self.degree,
-            "coeffs": {
-                ",".join(map(str, e)): [c.real, c.imag] for e, c in self.coeffs.items()
-            },
-        }
 
 
 def projection_coefficients(d, n):
@@ -242,8 +215,7 @@ def harmonic_projection(P):
     Pi(P) = sum_s c_s |x|^{2s} Delta^s P is harmonic and differs from P by
     a multiple of |x|^2; harmonic inputs are returned unchanged.
     """
-    d, n = P.dimension, P.degree
-    return HomogeneousPolynomial(d, n, project_ladder(laplacian_ladder(P.coeffs, d), d, n))
+    return P._like(P._project(P.degree))
 
 
 def harmonic_decomposition(P):
@@ -255,16 +227,16 @@ def harmonic_decomposition(P):
     list of (i, H_{n-2i}) with nonzero parts.
     """
     d, n = P.dimension, P.degree
-    ladder = laplacian_ladder(P.coeffs, d)
+    ladder = P._ladder()
     out = []
     for i in range(len(ladder)):
         m = n - 2 * i
         norm = 1.0
         for t in range(1, i + 1):
             norm *= 2.0 * t * (2 * m + 2 * t + d - 2)
-        coeffs = project_ladder(ladder[i:], d, m)
+        coeffs = P._project(m, ladder[i:])
         H = HomogeneousPolynomial(d, m, {e: c / norm for e, c in coeffs.items()})
-        if not H.is_zero():
+        if H.coeffs:  # the constructor drops exact zeros
             out.append((i, H))
     return out
 

@@ -13,23 +13,14 @@ number of a (p, q) twist m = p - q; conjugating the kernel swaps the
 roles of p and q.
 """
 
+import copy
+from itertools import combinations_with_replacement, product
+
 import numpy as np
 
 from .geometry import _central_difference, _laplacian_x, _mixed_term, _z_second_order
 from .glz import zball_eigenvalues
-from .harmonics import (
-    HomogeneousPolynomial,
-    _monomials,
-    laplacian_ladder,
-    poly_add,
-    poly_diff,
-    poly_eval,
-    poly_laplacian,
-    poly_mul,
-    poly_power,
-    project_ladder,
-    projection_coefficients,
-)
+from .harmonics import HomogeneousPolynomial, Polynomial, harmonic_projection, projection_coefficients
 from .quadrature import gauss_legendre, orthonormal_complete, sphere_rule, zonal_projector_factor
 
 __all__ = [
@@ -39,7 +30,6 @@ __all__ = [
     "dk_eigencheck",
     "TwistedFunction",
     "zcrystal_reduce",
-    "zcrystal_reduced_apply",
     "boundary_functions",
     "m_operator_apply",
     "m_operator_eigencheck",
@@ -175,18 +165,9 @@ class TwistedFunction:
 
     def with_pole(self, Q_new, alg=None):
         """Same spec with the pole (and optionally the algebra) replaced."""
-        out = TwistedFunction(
-            alg or self.alg,
-            self.mode,
-            Q=Q_new,
-            p=self.p,
-            q=self.q,
-            radial=self.radial,
-            project_x=self.project_x,
-            project_k=self.project_k,
-            sphere_order=self.sphere_order,
-            radial_rule=self.radial_rule,
-        )
+        out = copy.copy(self)
+        out.Q = np.asarray(Q_new, dtype=float)
+        out.alg = alg or self.alg
         return out
 
     def _twist_values(self, X, nodes):
@@ -282,16 +263,12 @@ def zcrystal_reduce(alg, Z_gamma):
     JZg = alg.J(Z_gamma) if zg > 0 else np.zeros((alg.k, alg.k))
 
     def apply(psi, X):
-        return zcrystal_reduced_apply(psi, X, JZg, mu)
+        X = np.asarray(X, dtype=float)
+        lap = _laplacian_x(lambda Xv, _: psi(Xv), X, None)
+        ddir = _central_difference(lambda s: psi(X + s * (JZg @ X)), 1)
+        return lap + 2j * np.pi * ddir - 4.0 * mu**2 * (1.0 + 0.25 * (X @ X)) * psi(X)
 
     return mu, apply
-
-
-def zcrystal_reduced_apply(psi, X, JZg, mu):
-    X = np.asarray(X, dtype=float)
-    lap = _laplacian_x(lambda Xv, _: psi(Xv), X, None)
-    ddir = _central_difference(lambda s: psi(X + s * (JZg @ X)), 1)
-    return lap + 2j * np.pi * ddir - 4.0 * mu**2 * (1.0 + 0.25 * (X @ X)) * psi(X)
 
 
 # -- boundary-condition functions on Z-ball bundles ---------------------------
@@ -380,13 +357,14 @@ def harmonic_nm_dimension(alg, n, m):
     p, q = (n + m) // 2, (n - m) // 2
     B = adapted_complex_basis(alg, Z_u)
     kappa = alg.k // 2
-    expos = [(pe, qe) for pe in _monomials(kappa, p) for qe in _monomials(kappa, q)]
+    monomials = list(product(combinations_with_replacement(range(kappa), p),
+                             combinations_with_replacement(range(kappa), q)))
     rng = np.random.default_rng(0)
-    pts = rng.standard_normal((4 * len(expos) + 40, alg.k))
+    pts = rng.standard_normal((4 * len(monomials) + 40, alg.k))
     vals = []
-    for pe, qe in expos:
-        straight = twisted_to_straight(alg, B, [(j, pe[j], qe[j]) for j in range(kappa)], Z_u)
-        vals.append(poly_eval(project_ladder(laplacian_ladder(straight, alg.k), alg.k, n), pts))
+    for zs, zbars in monomials:
+        straight = twisted_to_straight(alg, B, [(j, zs.count(j), zbars.count(j)) for j in range(kappa)], Z_u)
+        vals.append(harmonic_projection(straight)(pts))
     svals = np.linalg.svd(np.array(vals), compute_uv=False)
     if svals.size == 0:
         return 0
@@ -397,20 +375,18 @@ def harmonic_nm_dimension(alg, n, m):
 
 
 def twisted_to_straight(alg, B, pq_list, K_u):
-    """Monomial dict {x-exponent: coeff} of prod z_j^{p_j} conj(z_j)^{q_j}.
+    """HomogeneousPolynomial in X of prod z_j^{p_j} conj(z_j)^{q_j}.
 
     z_j(X) = <B_j + i J_{K_u} B_j, X>; the result is the straight (plain
     polynomial) representation at this K_u.  Exact coordinate change.
     """
     K_u = np.asarray(K_u, dtype=float)
     J = alg.J(K_u / np.linalg.norm(K_u))
-    out = {(0,) * alg.k: 1.0 + 0.0j}
+    out = HomogeneousPolynomial(alg.k, 0, {(0,) * alg.k: 1.0})
     for (j, p, q) in pq_list:
         a = np.asarray(B[j], dtype=float) + 1j * (J @ np.asarray(B[j], dtype=float))
-        zpol = HomogeneousPolynomial.linear_form(a).coeffs
-        zbar = HomogeneousPolynomial.linear_form(np.conj(a)).coeffs
-        out = poly_mul(out, poly_power(zpol, p, alg.k))
-        out = poly_mul(out, poly_power(zbar, q, alg.k))
+        out = out * HomogeneousPolynomial.linear_form(a).power(p)
+        out = out * HomogeneousPolynomial.linear_form(np.conj(a)).power(q)
     return out
 
 
@@ -465,32 +441,23 @@ def roulette_one_turn(state, p, q, S):
 # -- joint (X, K) polynomials and the spin matrix ------------------------------
 
 
-class XKPolynomial:
+class XKPolynomial(Polynomial):
     """Polynomial in (X, K) jointly, built from {(x-expo, k-expo): coeff}.
 
-    Stored as an engine polynomial on the k + l variables (X first, keys
+    Stored as a Polynomial on the k + l variables (X first, keys
     x-expo + k-expo); the X-Laplacian and Pi_X act on the first k.
     """
 
     def __init__(self, k, l, coeffs=None):
         self.k = int(k)
         self.l = int(l)
-        self.coeffs = {tuple(xe) + tuple(ke): c for (xe, ke), c in (coeffs or {}).items()}
-
-    @classmethod
-    def _flat(cls, k, l, coeffs):
-        out = cls(k, l)
-        out.coeffs = coeffs
-        return out
-
-    def copy(self):
-        return XKPolynomial._flat(self.k, self.l, dict(self.coeffs))
+        super().__init__(k + l, k, {tuple(xe) + tuple(ke): c for (xe, ke), c in (coeffs or {}).items()})
 
     @classmethod
     def x_linear(cls, k, l, vec):
         """<vec, X> as a (X-degree 1, K-degree 0) polynomial."""
         form = HomogeneousPolynomial.linear_form(np.concatenate([np.asarray(vec), np.zeros(l)]))
-        return cls._flat(k, l, form.coeffs)
+        return cls(k, l)._like(form.coeffs)
 
     @classmethod
     def jk_form(cls, alg, Q):
@@ -510,31 +477,13 @@ class XKPolynomial:
     @classmethod
     def k_linear(cls, k, l, W):
         form = HomogeneousPolynomial.linear_form(np.concatenate([np.zeros(k), np.asarray(W)]))
-        return cls._flat(k, l, form.coeffs)
-
-    def __add__(self, other):
-        return XKPolynomial._flat(self.k, self.l, poly_add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar):
-        coeffs = {key: scalar * c for key, c in self.coeffs.items()}
-        return XKPolynomial._flat(self.k, self.l, coeffs)
-
-    def __mul__(self, other):
-        if not isinstance(other, XKPolynomial):
-            return self.__rmul__(other)
-        return XKPolynomial._flat(self.k, self.l, poly_mul(self.coeffs, other.coeffs))
-
-    def power(self, m):
-        return XKPolynomial._flat(self.k, self.l, poly_power(self.coeffs, m, self.k + self.l))
+        return cls(k, l)._like(form.coeffs)
 
     def dx(self, i):
-        return XKPolynomial._flat(self.k, self.l, poly_diff(self.coeffs, i))
+        return self.diff(i)
 
     def dk(self, a):
-        return XKPolynomial._flat(self.k, self.l, poly_diff(self.coeffs, self.k + a))
+        return self.diff(self.k + a)
 
     def directional_x(self, alg, field_matrix):
         """sum_i (field_matrix X)_i d/dx_i as polynomial output."""
@@ -551,22 +500,18 @@ class XKPolynomial:
             out = out + K_factor * self.directional_x(alg, alg.J_basis[a])
         return out
 
-    def x_laplacian(self):
-        return XKPolynomial._flat(self.k, self.l, poly_laplacian(self.coeffs, self.k))
-
     def x_degree(self):
         return max((sum(expo[: self.k]) for expo in self.coeffs), default=0)
 
     def project_x(self):
         """X-harmonic projection (input must be X-homogeneous)."""
-        ladder = laplacian_ladder(self.coeffs, self.k)
-        return XKPolynomial._flat(self.k, self.l, project_ladder(ladder, self.k, self.x_degree()))
+        return self._like(self._project(self.x_degree()))
 
     def evaluate(self, X, Knodes):
         """Values at fixed X over an array of K nodes."""
         Knodes = np.atleast_2d(np.asarray(Knodes, dtype=float))
         X = np.broadcast_to(np.asarray(X, dtype=float), (len(Knodes), self.k))
-        return poly_eval(self.coeffs, np.hstack([X, Knodes]))
+        return self(np.hstack([X, Knodes]))
 
 
 def m_perp_values(alg, F, X, nodes):

@@ -174,6 +174,8 @@ CHECKS = [
     ("waves", "solvable split", 1e-15, lambda seed: waves.solvable_split_residual(waves.PhysicalConstants(), 4, 3)),
     ("waves", "Z-crystal Schrodinger annihilation", 1e-8, lambda seed: waves.zcrystal_wave_residual(
         algebra.htype_group(1, 1, 0), np.array([2.0]), 0, 0, 0, kind="schrodinger")),
+    ("waves", "Z-crystal Schrodinger annihilation (p=1, q=0)", 1e-8, lambda seed: waves.zcrystal_wave_residual(
+        algebra.htype_group(1, 1, 0), np.array([2.0]), 1, 0, 0, kind="schrodinger")),
     ("waves", "massless meson", 1e-12,
      lambda seed: waves.meson_phase_residual([0.7, -0.2, 0.4], waves.PhysicalConstants(m=0.0))),
     ("waves", "Hubble X-scaling", 1e-12, lambda seed: abs(geometry.hubble_scaling(
@@ -206,7 +208,9 @@ def _run(check, tol, fn, seed):
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
         return (check, False, f"{type(exc).__name__}: {exc} ({where})")
-    passed = detail >= tol if isinstance(tol, _AtLeast) else detail < tol  # a NaN fails either way
+    if not math.isfinite(detail):  # JSON has no NaN or infinity: keep the row, as text
+        return (check, False, f"non-finite detail {detail}")
+    passed = detail >= tol if isinstance(tol, _AtLeast) else detail < tol
     return (check, bool(passed), detail)
 
 

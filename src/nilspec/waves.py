@@ -260,16 +260,19 @@ def zcrystal_wave_residual(alg, K_tilde, p, q, r, constants=None, kind="schrodin
     the plain Schrodinger operator and + 4 mu^2 for the total one, at a
     seeded random (X, Z) and t = 0.3.
     Under the recorded D-sign convention the effective magnetic number of
-    the (p, q) twist is m = p - q, so p_index = p.
+    the (p, q) twist is m = p - q, so p_index = p.  A stratum with no
+    X-harmonic twist (p, q >= 1 on k = 2) is refused: its wave is zero.
     """
     from .glz import scaled_eigenfunction
-    from .twisted import theta_projected
+    from .twisted import harmonic_nm_dimension, theta_projected
 
     constants = constants or PhysicalConstants()
     K_tilde = np.asarray(K_tilde, dtype=float)
     kt = np.linalg.norm(K_tilde)
     mu = kt / 2.0
     n = p + q
+    if n and harmonic_nm_dimension(alg, n, p - q) == 0:
+        raise ValueError(f"the (p, q) = ({p}, {q}) stratum is empty on k = {alg.k}: Pi_X(Theta^p conj(Theta)^q) = 0")
     p_index = p  # the (p, q) twist carries m = p - q under SIGMA_DK = +1
     omega_t = (4.0 * r + 4.0 * p_index + alg.k) * mu
     if kind == "total_schrodinger":

@@ -392,6 +392,23 @@ def test_verify_check_that_raises_fails_only_its_row(tmp_path, monkeypatch, caps
     assert "FAIL  [glz] Z-ball l=3 Dirichlet  (RuntimeError:" in capsys.readouterr().out
 
 
+def test_verify_non_finite_detail_fails_only_its_row(tmp_path, monkeypatch):
+    # a NaN detail is a failed row with a text detail; the other rows and
+    # verify.json survive
+    monkeypatch.setattr(glz, "zball_eigenvalues", lambda *args, **kwargs: np.full(2, np.nan))
+    out = tmp_path / "out"
+    assert run_cli(["verify", "--only", "glz", "--out", str(out)]) == 1
+    payload = json.loads((out / "verify.json").read_text())
+    rows = {row["check"]: row for row in payload["results"]["glz"]}
+    assert {name: row["ok"] for name, row in rows.items()} == {
+        "collocation vs explicit (subset)": True,
+        "Laguerre orthogonality": True,
+        "Z-ball l=3 Dirichlet": False,
+    }
+    assert rows["Z-ball l=3 Dirichlet"]["detail"] == "non-finite detail nan"
+    assert payload["failed"] == 1
+
+
 def test_waves_command(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["waves", "--out", str(out)]) == 0

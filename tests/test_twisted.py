@@ -3,7 +3,7 @@ import pytest
 
 from nilspec import geometry
 from nilspec.algebra import complete_basis, htype_group
-from nilspec.harmonics import fourier_quadrature, poly_eval
+from nilspec.harmonics import HomogeneousPolynomial, fourier_quadrature, harmonic_projection
 from nilspec.quadrature import sphere_rule, zonal_projector
 from nilspec.twisted import (
     SIGMA_DK,
@@ -214,6 +214,18 @@ def test_pi_x_pi_k_commute():
     assert np.abs(proj @ engine - proj @ closed).max() < 1e-12 * np.abs(proj @ closed).max()
 
 
+@pytest.mark.parametrize("d, degree", [(2, 4), (4, 5), (6, 3)])
+def test_project_x_is_harmonic_projection_at_k_degree_zero(d, degree):
+    # XKPolynomial and HomogeneousPolynomial share one projector: on an
+    # X-polynomial of K-degree 0, project_x and harmonic_projection agree
+    # coefficient by coefficient, bit for bit
+    P = HomogeneousPolynomial.random(d, degree, np.random.default_rng(degree), complex_coeffs=True)
+    F = XKPolynomial(d, 2, {(e, (0, 0)): c for e, c in P.coeffs.items()})
+    got = {e[:d]: c for e, c in F.project_x().coeffs.items() if c != 0}
+    assert got == harmonic_projection(P).coeffs
+    assert all(e[d:] == (0, 0) for e in F.project_x().coeffs)
+
+
 # -- Z-crystal reduction --------------------------------------------------------
 
 
@@ -332,11 +344,12 @@ def test_conversion_roundtrip_off_singular_set():
     Ku = rng.standard_normal(3)
     Ku /= np.linalg.norm(Ku)
     straight = twisted_to_straight(H3, B, [(0, 2, 1), (1, 0, 1)], Ku)
-    assert all(sum(e) == 4 for e in straight)
+    assert straight.degree == 4
+    assert all(sum(e) == 4 for e in straight.coeffs)
     for X in rng.standard_normal((5, 4)):
         z = _z_coords(B, X, Ku)
         direct = z[0] ** 2 * np.conj(z[0]) * np.conj(z[1])
-        assert abs(poly_eval(straight, X[None, :])[0] - direct) < 1e-12
+        assert abs(straight(X)[0] - direct) < 1e-12
 
 
 def test_conversion_exact_linear_case():
@@ -346,7 +359,7 @@ def test_conversion_exact_linear_case():
     Ku = np.array([1.0, 0.0, 0.0])
     a = B[0] + 1j * (H3.J(Ku) @ B[0])
     for pq, form in (((0, 1, 0), a), ((0, 0, 1), np.conj(a))):
-        straight = twisted_to_straight(H3, B, [pq], Ku)
+        straight = twisted_to_straight(H3, B, [pq], Ku).coeffs
         expect = {tuple(np.eye(4, dtype=int)[i]): form[i] for i in range(4) if form[i] != 0}
         assert straight.keys() == expect.keys()
         assert all(straight[e] == expect[e] for e in expect)
@@ -360,7 +373,7 @@ def test_injectivity_gram_rank():
     exps = [((0, 0), (0, 0)), ((1, 0), (0, 0)), ((0, 0), (1, 0)), ((1, 0), (0, 1)), ((0, 1), (1, 0))]
     pts = rng.standard_normal((40, 4))
     M = np.array([
-        poly_eval(twisted_to_straight(H3, B, [(j, pe[j], qe[j]) for j in range(2)], Ku), pts)
+        twisted_to_straight(H3, B, [(j, pe[j], qe[j]) for j in range(2)], Ku)(pts)
         for pe, qe in exps
     ])
     s = np.linalg.svd(M, compute_uv=False)

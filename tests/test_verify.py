@@ -121,6 +121,8 @@ MUTATIONS = [
              Edit("const(k / 2.0 + l - 1.0)", "const(k / 2.0 + l)"), {"waves": ["solvable split"]}),
     Mutation("Z-crystal mu = |K|", waves, "zcrystal_wave_residual",
              Edit("mu = kt / 2.0", "mu = kt"), {"waves": ["Z-crystal Schrodinger annihilation"]}),
+    Mutation("Z-crystal magnetic index p_index = q", waves, "zcrystal_wave_residual",
+             Edit("p_index = p  #", "p_index = q  #"), {"waves": ["Z-crystal Schrodinger annihilation (p=1, q=0)"]}),
     Mutation("meson residual omega^2 + k^2", waves, "meson_phase_residual",
              Edit("(omega**2 - kk**2)", "(omega**2 + kk**2)"), {"waves": ["massless meson"]}),
     Mutation("X-curves at rate q", geometry, "hubble_scaling",

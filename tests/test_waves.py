@@ -101,6 +101,14 @@ def test_zcrystal_anti_wave_higher_strata():
     assert res < 1e-6
 
 
+@pytest.mark.parametrize("p, q, r", [(2, 1, 1), (1, 2, 0), (1, 1, 0)])
+def test_zcrystal_empty_stratum_is_refused(p, q, r):
+    # on k = 2 the twist Pi_X(Theta^p conj(Theta)^q) is 0 once p, q >= 1, so
+    # the residual would divide finite-difference noise by its floor
+    with pytest.raises(ValueError, match=f"\\(p, q\\) = \\({p}, {q}\\) stratum is empty"):
+        zcrystal_wave_residual(HEIS, np.array([2.0]), p, q, r, CC, "schrodinger")
+
+
 def test_meson_massless_harmonic():
     c0 = PhysicalConstants(m=0.0)
     K = np.array([0.7, -0.2, 0.4])
